@@ -14,6 +14,10 @@ Two strategies from the paper:
   trigger and target nets have, then apply them one by one, keeping only
   those that leave the circuit within the delay budget.  This is the
   scalable "analyze before applying" method the paper describes.
+
+Both delay heuristics time their trial edits on one
+:class:`~repro.timing.sta.TimingEngine`, which re-times only the fanout
+cone of each edit instead of the whole circuit.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import List, Optional, Tuple
 
 from ..netlist.circuit import Circuit
 from ..timing.delay_models import DelayModel
-from ..timing.sta import analyze, critical_delay
+from ..timing.sta import TimingEngine, analyze, critical_delay
 from .capacity import capacity
 from .embed import FingerprintedCircuit, representative_slots
 from .locations import LocationCatalog
@@ -126,32 +130,32 @@ def reactive_delay_constrain(
     initial_active = fp.n_active
     steps: List[Tuple[str, str]] = []
 
-    current = critical_delay(fp.circuit, delay_model)
+    timing = TimingEngine(fp.circuit, delay_model)
+    current = timing.critical_delay()
     while fp.n_active > 0 and current > budget + tolerance:
-        report = analyze(fp.circuit, delay_model)
-        critical_nets = set(report.critical_path)
+        critical_nets = set(timing.critical_path())
         candidates = _candidates_on_critical_path(fp, critical_nets)
         best_target: Optional[str] = None
         best_delay = current
         for target in candidates:
             variant_index = fp.applied[target]
-            fp.remove(target)
-            trial = critical_delay(fp.circuit, delay_model)
+            timing.update(fp.remove(target))
+            trial = timing.critical_delay()
             if trial < best_delay - tolerance:
                 best_delay = trial
                 best_target = target
-            fp.apply(target, variant_index)
+            timing.update(fp.apply(target, variant_index))
         if best_target is not None:
-            fp.remove(best_target)
+            timing.update(fp.remove(best_target))
             steps.append(("greedy", best_target))
             current = best_delay
         else:
             # Paper §IV.B: no single removal reduces the delay — remove a
             # random modification and keep going.
             target = rng.choice(sorted(fp.applied))
-            fp.remove(target)
+            timing.update(fp.remove(target))
             steps.append(("random", target))
-            current = critical_delay(fp.circuit, delay_model)
+            current = timing.critical_delay()
 
     return ConstraintResult(
         fingerprinted=fp,
@@ -262,7 +266,8 @@ def proactive_delay_constrain(
     the paper's main flow) are sorted by decreasing slack of their target
     gate in the baseline circuit, so the cheapest modifications are tried
     first; each application is kept only if the measured delay stays
-    within budget.
+    within budget.  Every trial is timed on one engine laid out from the
+    maximal embedding of the candidates, so no trial forces a rebuild.
     """
     baseline_report = analyze(base, delay_model)
     baseline = baseline_report.critical_delay
@@ -272,17 +277,22 @@ def proactive_delay_constrain(
         slots,
         key=lambda s: (-baseline_report.slack(s.target), s.target),
     )
+    chosen = [(s.target, min(variant_index, len(s.variants))) for s in candidates]
+    maximal = FingerprintedCircuit(base, catalog)
+    for target, index in chosen:
+        maximal.apply(target, index)
+    order = [gate.name for gate in maximal.circuit.topological_order()]
     fp = FingerprintedCircuit(base, catalog)
+    timing = TimingEngine(fp.circuit, delay_model, order=order)
     steps: List[Tuple[str, str]] = []
-    for slot in candidates:
-        index = min(variant_index, len(slot.variants))
-        fp.apply(slot.target, index)
-        if critical_delay(fp.circuit, delay_model) > budget:
-            fp.remove(slot.target)
-            steps.append(("rejected", slot.target))
+    for target, index in chosen:
+        timing.update(fp.apply(target, index))
+        if timing.critical_delay() > budget:
+            timing.update(fp.remove(target))
+            steps.append(("rejected", target))
         else:
-            steps.append(("accepted", slot.target))
-    final = critical_delay(fp.circuit, delay_model)
+            steps.append(("accepted", target))
+    final = timing.critical_delay()
     total = len(candidates)
     return ConstraintResult(
         fingerprinted=fp,

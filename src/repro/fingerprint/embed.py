@@ -84,7 +84,7 @@ class FingerprintedCircuit:
     # inverter sharing
     # ------------------------------------------------------------------ #
 
-    def _inverted_net(self, source: str) -> str:
+    def _inverted_net(self, source: str, touched: List[str]) -> str:
         existing = self._base_inverter_of.get(source)
         if existing is not None:
             return existing  # golden inverter: shared, never removed
@@ -98,15 +98,17 @@ class FingerprintedCircuit:
             suffix += 1
             net = f"fp_inv_{source}_{suffix}"
         self.circuit.add_gate(net, "INV", [source])
+        touched.append(net)
         self._inverter_of[source] = net
         self._inverter_refs[net] = 1
         return net
 
-    def _release_inverted(self, net: str) -> None:
+    def _release_inverted(self, net: str, touched: List[str]) -> None:
         self._inverter_refs[net] -= 1
         if self._inverter_refs[net] == 0:
             gate = self.circuit.gate(net)
             self.circuit.remove_gate(net)
+            touched.append(net)
             del self._inverter_refs[net]
             del self._inverter_of[gate.inputs[0]]
 
@@ -114,20 +116,24 @@ class FingerprintedCircuit:
     # apply / remove
     # ------------------------------------------------------------------ #
 
-    def apply(self, target: str, variant_index: int) -> None:
-        """Set slot ``target`` to 1-based ``variant_index`` (0 removes)."""
+    def apply(self, target: str, variant_index: int) -> List[str]:
+        """Set slot ``target`` to 1-based ``variant_index`` (0 removes).
+
+        Returns the nets whose driving gate was added, removed or replaced
+        — the target plus any inverter created or released — in mutation
+        order, the form :meth:`repro.timing.sta.TimingEngine.update` takes.
+        """
         slot = self.slot(target)
         if variant_index == 0:
             if target in self._applied:
-                self.remove(target)
-            return
+                return self.remove(target)
+            return []
         if not 1 <= variant_index <= len(slot.variants):
             raise EmbeddingError(
                 f"slot {target}: variant {variant_index} out of range "
                 f"1..{len(slot.variants)}"
             )
-        if target in self._applied:
-            self.remove(target)
+        touched = self.remove(target) if target in self._applied else []
         variant = slot.variants[variant_index - 1]
         original = self.circuit.gate(target)
         added: List[str] = []
@@ -135,14 +141,19 @@ class FingerprintedCircuit:
             if literal.positive:
                 added.append(literal.net)
             else:
-                added.append(self._inverted_net(literal.net))
+                added.append(self._inverted_net(literal.net, touched))
         new_inputs = list(original.inputs) + added
         self.circuit.replace_gate(target, variant.kind, new_inputs)
+        touched.append(target)
         self._original[target] = original
         self._applied[target] = variant_index
+        return touched
 
-    def remove(self, target: str) -> None:
-        """Revert slot ``target`` to its original gate."""
+    def remove(self, target: str) -> List[str]:
+        """Revert slot ``target`` to its original gate.
+
+        Returns the touched nets in mutation order, as :meth:`apply` does.
+        """
         if target not in self._applied:
             raise EmbeddingError(f"slot {target!r} has no active modification")
         variant = self.slot(target).variants[self._applied[target] - 1]
@@ -151,13 +162,15 @@ class FingerprintedCircuit:
         self.circuit.replace_gate(
             target, original.kind, original.inputs, cell=original.cell
         )
+        touched = [target]
         # Release fingerprint-created inverters that backed complemented
         # literals (reused golden inverters are left alone).
         extra = list(current.inputs[len(original.inputs):])
         for literal, net in zip(variant.literals, extra):
             if not literal.positive and net in self._inverter_refs:
-                self._release_inverted(net)
+                self._release_inverted(net, touched)
         del self._applied[target]
+        return touched
 
     def apply_assignment(self, assignment: Dict[str, int]) -> None:
         """Apply a full target->configuration map (0 entries are cleared)."""

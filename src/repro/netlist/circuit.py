@@ -10,8 +10,9 @@ Mutation is explicit (``add_gate`` / ``remove_gate`` / ``replace_gate``) and
 bumps an internal version counter that invalidates cached derived structures
 (topological order, fanout map, levels).  All analyses in the library go
 through those cached queries, so repeated measurements of an unchanged
-circuit are cheap — which matters for the paper's reactive heuristic, which
-re-times the circuit after every candidate fingerprint removal.
+circuit are cheap.  (Edit-heavy loops such as the paper's reactive
+heuristic instead keep their own incremental state; see
+:class:`repro.timing.sta.TimingEngine`.)
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from .delay_models import (
     UnitDelay,
     WireDelay,
 )
-from .sta import TimingReport, analyze, critical_delay, critical_path_nets
+from .sta import TimingEngine, TimingReport, analyze, critical_delay, critical_path_nets
 
 __all__ = [
     "DEFAULT_DELAY_MODEL",
@@ -23,6 +23,7 @@ __all__ = [
     "LibraryDelay",
     "UnitDelay",
     "WireDelay",
+    "TimingEngine",
     "TimingReport",
     "analyze",
     "critical_delay",

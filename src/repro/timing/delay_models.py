@@ -21,7 +21,20 @@ OUTPUT_PAD_LOAD = 2.0
 
 
 class DelayModel(Protocol):
-    """Computes one gate's propagation delay inside a circuit."""
+    """Computes one gate's propagation delay inside a circuit.
+
+    Locality contract: a gate's delay may depend only on its own cell, the
+    input pins of its consumers (their cells and how many pins the gate
+    drives on each), whether it is a primary output, and the logic levels
+    of the gate itself and of its consumers.  Accordingly, a model may
+    query ``circuit`` only through ``gate(name)`` for the gate's
+    consumers, ``fanouts(gate.name)``, ``is_output(gate.name)`` and
+    ``levels()``.  :class:`repro.timing.sta.TimingEngine` relies on this:
+    after an edit it recomputes only the delays the contract lets change,
+    and it passes itself as ``circuit``, answering those four queries from
+    its incrementally maintained state.  :class:`UnitDelay`,
+    :class:`LibraryDelay` and :class:`WireDelay` all meet the contract.
+    """
 
     def gate_delay(self, circuit: Circuit, gate: Gate) -> float:
         """Propagation delay of ``gate`` in ``circuit``, in ns."""
