@@ -16,16 +16,10 @@ here::
     print(result.summary())
 
 Telemetry (nested spans + metrics, Chrome-trace export) lives in
-:mod:`repro.telemetry` and is off by default.  Pre-facade names
-(``fingerprint_flow``, ``run_batch``, ``verify_equivalence``, and the
-historical grab-bag of substrate re-exports) still resolve through a
-lazy compatibility layer, but importing them from ``repro`` warns —
-import substrate pieces from their own packages (``repro.netlist``,
-``repro.sat``, ...) instead.
+:mod:`repro.telemetry` and is off by default.  Substrate pieces are
+imported from their own packages (``repro.netlist``, ``repro.sat``,
+...); the top level exports only the facade.
 """
-
-import importlib
-import warnings
 
 from . import telemetry
 from .api import (
@@ -42,7 +36,7 @@ from .api import (
     verify,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BatchResult",
@@ -59,85 +53,3 @@ __all__ = [
     "telemetry",
     "__version__",
 ]
-
-#: Pre-facade top-level names -> defining module.  Resolved lazily (and
-#: with a DeprecationWarning) so `from repro import parse_blif`-style
-#: imports keep working while the documented surface stays the facade.
-_COMPAT = {
-    "UNLIMITED": "repro.budget",
-    "Budget": "repro.budget",
-    "BudgetError": "repro.budget",
-    "DesignLoadError": "repro.errors",
-    "FaultInjectionError": "repro.errors",
-    "ReproError": "repro.errors",
-    "TraversalError": "repro.errors",
-    "VerificationError": "repro.errors",
-    "annotate": "repro.errors",
-    "GENERIC_LIB": "repro.cells",
-    "Cell": "repro.cells",
-    "CellLibrary": "repro.cells",
-    "generic_library": "repro.cells",
-    "CircuitBuilder": "repro.netlist",
-    "Gate": "repro.netlist",
-    "NetlistError": "repro.netlist",
-    "parse_blif": "repro.netlist",
-    "parse_verilog": "repro.netlist",
-    "write_blif": "repro.netlist",
-    "write_verilog": "repro.netlist",
-    "TruthTable": "repro.logic",
-    "global_odc": "repro.logic",
-    "local_odc": "repro.logic",
-    "check_equivalence": "repro.sim",
-    "exhaustive_equivalent": "repro.sim",
-    "random_equivalent": "repro.sim",
-    "CecVerdict": "repro.sat",
-    "SatStatus": "repro.sat",
-    "check": "repro.sat",
-    "sat_equivalent": "repro.sat",
-    "solve_cnf": "repro.sat",
-    "analyze": "repro.timing",
-    "critical_delay": "repro.timing",
-    "estimate_power": "repro.power",
-    "total_power": "repro.power",
-    "Metrics": "repro.analysis",
-    "Overhead": "repro.analysis",
-    "circuit_overhead": "repro.analysis",
-    "measure": "repro.analysis",
-    "BuyerRegistry": "repro.fingerprint",
-    "FinderOptions": "repro.fingerprint",
-    "FingerprintCodec": "repro.fingerprint",
-    "FingerprintedCircuit": "repro.fingerprint",
-    "LocationCatalog": "repro.fingerprint",
-    "capacity": "repro.fingerprint",
-    "collude": "repro.fingerprint",
-    "embed": "repro.fingerprint",
-    "extract": "repro.fingerprint",
-    "find_locations": "repro.fingerprint",
-    "full_assignment": "repro.fingerprint",
-    "proactive_delay_constrain": "repro.fingerprint",
-    "reactive_delay_constrain": "repro.fingerprint",
-    "trace": "repro.fingerprint",
-    "map_network": "repro.techmap",
-    "VerificationReport": "repro.flows",
-    "VerificationTier": "repro.flows",
-    "fingerprint_flow": "repro.flows",
-    "verify_equivalence": "repro.flows",
-    "run_batch": "repro.flows",
-}
-
-
-def __getattr__(name):
-    module_name = _COMPAT.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name!r} from 'repro' is deprecated; use the repro.api "
-        f"facade or import it from {module_name!r}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_COMPAT))

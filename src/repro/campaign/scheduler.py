@@ -377,12 +377,10 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
     inflight: Dict[Future, Tuple[JobRow, int]] = {}
     draining_since: Optional[float] = None
 
-    def replace_broken_pool() -> ProcessPoolExecutor:
+    def replace_broken_pool(alone: bool) -> ProcessPoolExecutor:
         # The pool is dead: every in-flight future raises the same
-        # error.  A lone in-flight job is convicted on the spot;
-        # multiple in-flight jobs all become suspects and re-run
-        # isolated (see _charge_crash).
-        alone = len(inflight) == 1
+        # error.  Each in-flight job is charged one crash (see
+        # _charge_crash for when that convicts it).
         for in_row, _attempts in inflight.values():
             _charge_crash(run, in_row, alone=alone)
         inflight.clear()
@@ -412,7 +410,7 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
                     # ran, so hand it straight back (no crash charge).
                     run.store.mark_pending([row.job_id])
                     run.ready.appendleft(row)
-                    pool = replace_broken_pool()
+                    pool = replace_broken_pool(alone=len(inflight) == 1)
                     continue
                 inflight[future] = (row, attempts)
                 run.summary.executed += 1
@@ -443,19 +441,20 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
                 set(inflight), timeout=0.1, return_when=FIRST_COMPLETED
             )
             broken = False
+            alone = len(inflight) == 1
             for future in done:
                 row, attempts = inflight.pop(future)
                 try:
                     result = future.result()
                 except BrokenProcessPool:
                     broken = True
-                    _charge_crash(run, row)
+                    _charge_crash(run, row, alone=alone)
                     continue
                 _adopt_worker_telemetry(result)
                 run.suspects.discard(row.job_id)  # completed -> exonerated
                 run.dispose(row, attempts, result)
             if broken:
-                pool = replace_broken_pool()
+                pool = replace_broken_pool(alone=alone)
         leftover = [row.job_id for row in run.ready] + [
             row.job_id for _, row in run.delayed
         ]
@@ -468,14 +467,18 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
 def _charge_crash(run: _Run, row: JobRow, alone: bool = False) -> None:
     """One worker-death charge against an in-flight job.
 
-    ``alone`` means this job was the *only* one in flight when the pool
-    died, which identifies it as the culprit definitively — it is
-    quarantined immediately, regardless of its crash count.  Jobs that
-    shared the pool with others become *suspects*: they are requeued and
-    the loop drops to one-job-at-a-time until each suspect either
-    completes (exonerated) or crashes alone (convicted), so an innocent
-    job repeatedly co-resident with a crasher is never quarantined.
+    A crashed job becomes a *suspect*: it is requeued and the loop drops
+    to one-job-at-a-time until each suspect either completes
+    (exonerated) or crashes again.  ``alone`` means this job was the
+    *only* one in flight when the pool died; a suspect that dies alone
+    is the culprit definitively and is quarantined at once, whatever its
+    crash count.  A first crash never convicts on sight, even alone, so
+    it is retried the same way whether the death surfaced at
+    ``submit`` or at ``result()``; ``quarantine_limit`` crashes
+    quarantine any job.  An innocent job repeatedly co-resident with a
+    crasher is never quarantined.
     """
+    suspect = row.job_id in run.suspects
     run.summary.crashes += 1
     telemetry.count("campaign.crashes")
     crashes = run.store.record_crash(row.job_id)
@@ -483,7 +486,7 @@ def _charge_crash(run: _Run, row: JobRow, alone: bool = False) -> None:
         row.job_id, "crash",
         f"worker died (#{crashes})" + (" [isolated]" if alone else ""),
     )
-    if alone or crashes >= run.options.quarantine_limit:
+    if (alone and suspect) or crashes >= run.options.quarantine_limit:
         run.quarantine(row, "worker process died while executing this job",
                        "WorkerCrash")
     else:

@@ -395,41 +395,11 @@ def run_batch_flow(
         return result
 
 
-def run_batch(
-    design: Circuit,
-    n_copies: int,
-    jobs: int = 1,
-    seed: int = 0,
-    options: Optional[FinderOptions] = None,
-    ladder: Optional[LadderConfig] = None,
-    measure_overheads: bool = False,
-) -> BatchResult:
-    """Deprecated pre-facade signature; use :func:`repro.api.batch`."""
-    warnings.warn(
-        "run_batch() is deprecated; use repro.api.batch(design, n_copies, "
-        "FlowOptions(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_batch_flow(
-        design,
-        n_copies,
-        FlowOptions(
-            jobs=jobs,
-            seed=seed,
-            finder=options,
-            ladder=ladder,
-            measure_overheads=measure_overheads,
-        ),
-    )
-
-
 __all__ = [
     "BatchError",
     "BatchResult",
     "CopyRecord",
     "build_worker_state",
-    "run_batch",
     "run_batch_flow",
     "select_values",
     "verify_one_value",

@@ -23,7 +23,6 @@ broken netlists), and then always with a typed :class:`repro.errors.ReproError`.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -39,7 +38,6 @@ from ..sat.solver import SolverStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..sat.incremental import IncrementalCecSession
 from ..sim.equivalence import (
-    EquivalenceResult,
     exhaustive_equivalent,
     random_equivalent,
 )
@@ -62,7 +60,7 @@ DEFAULT_SAT_BUDGET = Budget(deadline_s=30.0, max_conflicts=2_000_000)
 
 @dataclass(frozen=True)
 class LadderConfig:
-    """Tuning knobs for :func:`verify_equivalence`.
+    """Tuning knobs for :func:`run_ladder`.
 
     Attributes:
         max_exhaustive_inputs: Widest input count still simulated
@@ -145,16 +143,6 @@ class VerificationReport:
             "budget_hit": self.budget_hit,
             "tiers_tried": list(self.tiers_tried),
         }
-
-    def as_equivalence_result(self) -> EquivalenceResult:
-        """Legacy :class:`EquivalenceResult` view (pre-ladder interface)."""
-        return EquivalenceResult(
-            equivalent=self.equivalent,
-            complete=self.proven,
-            n_vectors=self.n_vectors,
-            counterexample=self.counterexample,
-            output=self.output,
-        )
 
     def summary(self) -> str:
         """One-line human-readable verdict."""
@@ -351,22 +339,6 @@ def _run_tiers(
 LadderResult = VerificationReport
 
 
-def verify_equivalence(
-    left: Circuit,
-    right: Circuit,
-    config: Optional[LadderConfig] = None,
-    session: Optional["IncrementalCecSession"] = None,
-) -> VerificationReport:
-    """Deprecated pre-facade entry point; use :func:`repro.api.verify`."""
-    warnings.warn(
-        "verify_equivalence() is deprecated; use repro.api.verify(left, right, "
-        "FlowOptions(ladder=...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_ladder(left, right, config=config, session=session)
-
-
 __all__ = [
     "DEFAULT_SAT_BUDGET",
     "LadderConfig",
@@ -374,5 +346,4 @@ __all__ = [
     "VerificationReport",
     "VerificationTier",
     "run_ladder",
-    "verify_equivalence",
 ]

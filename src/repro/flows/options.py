@@ -1,8 +1,7 @@
 """`FlowOptions` — the one options object behind the `repro.api` facade.
 
-PRs 1–3 grew three divergent entry-point signatures (``fingerprint_flow``,
-``run_batch`` and the ladder each took their own positional knobs); this
-dataclass replaces all of them.  Every field is keyword-only — the custom
+Every entry point (fingerprint, batch, verify) reads its knobs from this
+one dataclass.  Every field is keyword-only — the custom
 ``__init__`` enforces that even on Python 3.9, where ``dataclass`` has no
 ``kw_only`` — and unknown option names fail loudly instead of being
 silently swallowed.

@@ -16,9 +16,8 @@ verdict (recorded in :attr:`FlowResult.verification`), it never raises.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from .. import telemetry
 from ..analysis.compare import Overhead, overhead
@@ -27,13 +26,12 @@ from ..errors import ReproError, annotate
 from ..fingerprint.capacity import CapacityReport, FingerprintCodec, capacity
 from ..fingerprint.constraints import ConstraintResult, reactive_delay_constrain
 from ..fingerprint.embed import FingerprintedCircuit, embed, full_assignment
-from ..fingerprint.locations import FinderOptions, LocationCatalog, find_locations
+from ..fingerprint.locations import LocationCatalog, find_locations
 from ..netlist.blif import parse_blif
 from ..netlist.circuit import Circuit
 from ..netlist.sop import SopNetwork
-from ..sim.equivalence import EquivalenceResult
 from ..techmap.mapper import map_network
-from .ladder import LadderConfig, VerificationReport, run_ladder
+from .ladder import VerificationReport, run_ladder
 from .options import FlowOptions
 
 
@@ -49,7 +47,6 @@ class FlowResult:
     baseline_metrics: Metrics
     fingerprinted_metrics: Metrics
     overhead: Overhead
-    equivalence: Optional[EquivalenceResult]
     constrained: Optional[ConstraintResult] = None
     verification: Optional[VerificationReport] = None
 
@@ -69,10 +66,6 @@ class FlowResult:
         ]
         if self.verification is not None:
             lines.append(f"verification: {self.verification.summary()}")
-        elif self.equivalence is not None:
-            kind = "exhaustive" if self.equivalence.complete else "random"
-            verdict = "equivalent" if self.equivalence.equivalent else "MISMATCH"
-            lines.append(f"verification ({kind} simulation): {verdict}")
         if self.constrained is not None:
             c = self.constrained
             lines.append(
@@ -151,10 +144,8 @@ def run_flow(
             )
 
         verification: Optional[VerificationReport] = None
-        equivalence: Optional[EquivalenceResult] = None
         if opts.verify:
             verification = run_ladder(base, copy.circuit, config=opts.ladder)
-            equivalence = verification.as_equivalence_result()
 
         baseline_metrics = _staged("measure", base.name, measure, base)
         fingerprinted_metrics = _staged("measure", base.name, measure, copy.circuit)
@@ -169,38 +160,7 @@ def run_flow(
             baseline_metrics=baseline_metrics,
             fingerprinted_metrics=fingerprinted_metrics,
             overhead=overhead(baseline_metrics, fingerprinted_metrics),
-            equivalence=equivalence,
             constrained=constrained,
             verification=verification,
         )
 
-
-def fingerprint_flow(
-    design: Union[Circuit, SopNetwork, str],
-    options: Optional[FinderOptions] = None,
-    assignment: Optional[Dict[str, int]] = None,
-    delay_constraint: Optional[float] = None,
-    verify: bool = True,
-    map_style: str = "aoi",
-    seed: int = 0,
-    ladder: Optional[LadderConfig] = None,
-) -> FlowResult:
-    """Deprecated pre-facade signature; use :func:`repro.api.fingerprint`."""
-    warnings.warn(
-        "fingerprint_flow() is deprecated; use repro.api.fingerprint(design, "
-        "FlowOptions(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_flow(
-        design,
-        FlowOptions(
-            finder=options,
-            assignment=assignment,
-            delay_constraint=delay_constraint,
-            verify=verify,
-            map_style=map_style,
-            seed=seed,
-            ladder=ladder,
-        ),
-    )

@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import heapq
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
@@ -275,21 +275,16 @@ class CdclSolver:
     phases, and all root-level (decision level 0) implied assignments.
 
     ``config`` selects the inner-loop machinery (see
-    :class:`SolverConfig`); the legacy ``restart_base`` keyword overrides
-    the config's base so historical call sites keep working.
+    :class:`SolverConfig`).
     """
 
     def __init__(
         self,
         cnf: Optional[Cnf] = None,
-        restart_base: Optional[int] = None,
         config: Optional[SolverConfig] = None,
     ) -> None:
         config = config if config is not None else SolverConfig()
-        if restart_base is not None and restart_base != config.restart_base:
-            config = replace(config, restart_base=restart_base)
         self.config = config
-        self.restart_base = config.restart_base
         self.n_vars = cnf.n_vars if cnf is not None else 0
         self.stats = SolverStats()
 

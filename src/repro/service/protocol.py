@@ -3,8 +3,7 @@
 PR 7's HTTP surface grew organically: each handler hand-built its JSON
 dialect, validation errors were ad-hoc strings, and nothing pinned the
 response shapes clients could rely on.  This module is the contract.
-Every ``/v1`` body — and, byte-for-byte, every legacy-alias body — is
-produced by one of these dataclasses:
+Every ``/v1`` body is produced by one of these dataclasses:
 
 ========================= ==============================================
 :class:`SubmitRequest`    parsed + validated ``POST /v1/jobs`` body
@@ -30,8 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from .jobs import SERVICE_COMMANDS
 from .queue import ServiceError, ServiceJob
 
-#: The versioned path prefix.  Unprefixed routes remain as deprecated
-#: aliases: same handlers, same bodies, plus a ``Deprecation`` header.
+#: The versioned path prefix.  Unprefixed paths answer 404 ``not_found``.
 API_PREFIX = "/v1"
 
 #: Machine-readable error codes a ``/v1`` response may carry, by status.
@@ -266,7 +264,6 @@ class StatsResponse:
     pending_by_tenant: Dict[str, int]
     queue_depth: int
     executor: Dict[str, Any]
-    deprecated: Dict[str, Any]
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -277,7 +274,6 @@ class StatsResponse:
             "pending_by_tenant": dict(self.pending_by_tenant),
             "queue_depth": self.queue_depth,
             "executor": dict(self.executor),
-            "deprecated": dict(self.deprecated),
         }
 
 

@@ -5,9 +5,8 @@ One :class:`Server` owns four moving parts:
 * an ``asyncio.start_server`` HTTP/1.1 front end (hand-rolled request
   parsing — the stdlib ships no async HTTP server, and the repo takes no
   third-party dependencies) speaking the versioned, typed ``/v1`` API
-  (:mod:`repro.service.protocol`); unversioned routes remain as
-  deprecated aliases (same handlers, byte-identical bodies, plus a
-  ``Deprecation`` header and a telemetry counter);
+  (:mod:`repro.service.protocol`); unversioned paths answer 404
+  ``not_found``;
 * the multi-tenant, tenant-fair :class:`~repro.service.queue.JobQueue`;
 * the multi-process execution backend
   (:class:`~repro.service.executor.JobExecutor`): a dispatcher task
@@ -91,12 +90,6 @@ _STATUS_TEXT = {
     500: "Internal Server Error",
 }
 
-#: Headers added to every matched legacy (unversioned) route.
-_DEPRECATION_HEADERS = {
-    "Deprecation": "true",
-    "Link": f'<{API_PREFIX}>; rel="successor-version"',
-}
-
 
 class Server:
     """The long-running fingerprinting service (see module docstring).
@@ -142,7 +135,6 @@ class Server:
         self.drain_grace_s = drain_grace_s
         self.queue: Optional[JobQueue] = None
         self.started_at: Optional[float] = None
-        self.deprecated_hits: Dict[str, int] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._backend: Optional[JobExecutor] = None
@@ -449,7 +441,6 @@ class Server:
         writer: asyncio.StreamWriter,
         status: int,
         payload: Dict[str, Any],
-        extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
         body = json.dumps(payload, indent=2, default=str).encode("utf-8")
         lines = [
@@ -458,8 +449,6 @@ class Server:
             f"Content-Length: {len(body)}",
             "Connection: close",
         ]
-        for name, value in (extra_headers or {}).items():
-            lines.append(f"{name}: {value}")
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         writer.write(head + body)
         await writer.drain()
@@ -468,9 +457,8 @@ class Server:
         self,
         writer: asyncio.StreamWriter,
         body: ErrorBody,
-        extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        await self._respond(writer, body.status, body.as_dict(), extra_headers)
+        await self._respond(writer, body.status, body.as_dict())
 
     @staticmethod
     def _match(method: str, path: str) -> Tuple[Optional[str], Optional[str]]:
@@ -499,10 +487,6 @@ class Server:
                 return "method_not_allowed", None
         return None, None
 
-    def _note_deprecated(self, path: str) -> None:
-        self.deprecated_hits[path] = self.deprecated_hits.get(path, 0) + 1
-        telemetry.count("service.deprecated_route")
-
     async def _route(
         self,
         method: str,
@@ -514,32 +498,24 @@ class Server:
         assert self.queue is not None
         url = urlsplit(path)
         raw_path, query = url.path, parse_qs(url.query)
-        versioned = raw_path == API_PREFIX or raw_path.startswith(
-            API_PREFIX + "/"
-        )
-        norm = raw_path[len(API_PREFIX):] if versioned else raw_path
-        hdrs: Optional[Dict[str, str]] = None
-        route, arg = self._match(method, norm)
-        if route is not None and not versioned:
-            # A matched legacy alias: same handler, same bytes, plus the
-            # migration signal.
-            self._note_deprecated(norm)
-            hdrs = dict(_DEPRECATION_HEADERS)
+        versioned = raw_path.startswith(API_PREFIX + "/")
+        norm = raw_path[len(API_PREFIX):]
+        route, arg = self._match(method, norm) if versioned else (None, None)
         if body == b"__TOO_LARGE__":
             await self._error(writer, ErrorBody(
                 "request body too large", "payload_too_large",
                 {"max_bytes": MAX_BODY_BYTES},
-            ), hdrs)
+            ))
             return
         if route is None:
             await self._error(writer, ErrorBody(
-                f"no route for {method} {raw_path}", "not_found"), hdrs)
+                f"no route for {method} {raw_path}", "not_found"))
             return
         if route == "method_not_allowed":
             await self._error(writer, ErrorBody(
                 f"method {method} not allowed on {norm}",
                 "method_not_allowed",
-            ), hdrs)
+            ))
             return
         if route == "health":
             from .. import __version__
@@ -549,33 +525,33 @@ class Server:
                 "version": __version__,
                 "api": API_PREFIX,
                 "uptime_s": time.time() - (self.started_at or time.time()),
-            }, hdrs)
+            })
             return
         if route == "stats":
-            await self._respond(writer, 200, self._stats_envelope(), hdrs)
+            await self._respond(writer, 200, self._stats_envelope())
             return
         if route == "shutdown":
-            await self._respond(writer, 200, {"status": "stopping"}, hdrs)
+            await self._respond(writer, 200, {"status": "stopping"})
             self._stop.set()
             return
         if route == "submit":
-            await self._submit(headers, body, writer, hdrs)
+            await self._submit(headers, body, writer)
             return
         if route == "list":
-            await self._list_jobs(query, writer, hdrs)
+            await self._list_jobs(query, writer)
             return
         # job status / SSE stream
         try:
             job = self.queue.get(arg or "")
         except UnknownJobError as exc:
             await self._error(writer, ErrorBody(
-                str(exc.message or exc), "unknown_job"), hdrs)
+                str(exc.message or exc), "unknown_job"))
             return
         if route == "events":
             await self._stream_events(job, writer)
             return
         await self._respond(
-            writer, 200, JobStatus.from_job(job).as_dict(), hdrs
+            writer, 200, JobStatus.from_job(job).as_dict()
         )
         if job.terminal:
             job.collected = True
@@ -593,10 +569,6 @@ class Server:
             uptime_s=time.time() - (self.started_at or time.time()),
             commands=list(SERVICE_COMMANDS),
             executor=self._executor_stats(),
-            deprecated={
-                "hits": sum(self.deprecated_hits.values()),
-                "by_route": dict(sorted(self.deprecated_hits.items())),
-            },
             **self.queue.stats(),
         )
         return build_envelope(
@@ -611,18 +583,17 @@ class Server:
         headers: Dict[str, str],
         body: bytes,
         writer: asyncio.StreamWriter,
-        hdrs: Optional[Dict[str, str]],
     ) -> None:
         try:
             payload = json.loads(body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             await self._error(writer, ErrorBody(
-                f"bad JSON body: {exc}", "bad_json"), hdrs)
+                f"bad JSON body: {exc}", "bad_json"))
             return
         try:
             request = SubmitRequest.parse(payload, headers)
         except ProtocolError as exc:
-            await self._error(writer, exc.body, hdrs)
+            await self._error(writer, exc.body)
             return
         try:
             job = self.queue.submit(
@@ -632,21 +603,20 @@ class Server:
             await self._error(writer, ErrorBody(
                 str(exc.message or exc), "quota_exceeded",
                 {"tenant": request.tenant},
-            ), hdrs)
+            ))
             return
         except ReproError as exc:
             await self._error(writer, ErrorBody(
-                exc.diagnostic(), "job_error"), hdrs)
+                exc.diagnostic(), "job_error"))
             return
         await self._respond(
-            writer, 202, SubmitAccepted.from_job(job).as_dict(), hdrs
+            writer, 202, SubmitAccepted.from_job(job).as_dict()
         )
 
     async def _list_jobs(
         self,
         query: Dict[str, list],
         writer: asyncio.StreamWriter,
-        hdrs: Optional[Dict[str, str]],
     ) -> None:
         tenant = (query.get("tenant") or [None])[0]
         try:
@@ -656,14 +626,14 @@ class Server:
             await self._error(writer, ErrorBody(
                 "limit and offset must be integers", "invalid_field",
                 {"field": "limit/offset"},
-            ), hdrs)
+            ))
             return
         if limit < 1 or limit > MAX_LIST_LIMIT or offset < 0:
             await self._error(writer, ErrorBody(
                 f"limit must be in [1, {MAX_LIST_LIMIT}] and offset >= 0",
                 "invalid_field",
                 {"field": "limit/offset"},
-            ), hdrs)
+            ))
             return
         total, page = self.queue.list_jobs(tenant, limit, offset)
         listing = JobListing(
@@ -674,7 +644,7 @@ class Server:
             offset=offset,
             tenant=tenant,
         )
-        await self._respond(writer, 200, listing.as_dict(), hdrs)
+        await self._respond(writer, 200, listing.as_dict())
 
     async def _stream_events(
         self, job: ServiceJob, writer: asyncio.StreamWriter

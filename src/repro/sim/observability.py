@@ -2,9 +2,9 @@
 
 For a net ``n``, the *observability* under a stimulus is the fraction of
 vectors for which flipping ``n``'s value changes some primary output —
-the Monte-Carlo counterpart of the exact
-:func:`repro.logic.circuit_funcs.global_observability`, usable on
-circuits far beyond the truth-table limit.  The implementation is
+the Monte-Carlo counterpart of exact global observability (the tests
+check it against a truth-table oracle on small circuits), usable on
+circuits far beyond any truth-table limit.  The implementation is
 bit-parallel: the fanout cone of ``n`` is re-simulated once with the
 net's packed words complemented, and output differences are counted per
 vector.

@@ -1,12 +1,20 @@
-"""Dense truth tables over small variable sets.
+"""Exact truth-table reasoning, used by the tests as an independent oracle.
 
-A :class:`TruthTable` stores the function as an integer bitmask: bit ``r``
-is the output under the assignment whose integer encoding is ``r``, where
-variable ``i`` (in the table's variable order) contributes bit ``i`` of
-``r``.  This representation supports exact Boolean reasoning — cofactors,
-Boolean difference, tautology/satisfiability — for the local (per-gate and
-per-cone) analyses the ODC fingerprinting method needs.  Sizes are bounded
-by :data:`MAX_VARS` to keep the masks cheap.
+The product finds ODC locations with the compiled IR and windowed
+simulation + SAT (:mod:`repro.odcwin`).  This module recomputes the same
+facts the slow, obviously-correct way — dense truth tables over a small
+variable set — so tests can check the engine against them:
+
+* :class:`TruthTable`: a Boolean function as an integer bitmask, with
+  cofactors, Boolean difference and the paper's Eq. 1 ODC;
+* :func:`local_odc`: one gate input's local ODC set (paper Table I);
+* :func:`net_functions` / :func:`global_observability` /
+  :func:`global_odc`: exact per-net functions and global observability of
+  a small circuit over its primary inputs.
+
+Bit ``r`` of a table is the output under the assignment whose integer
+encoding is ``r``, where variable ``i`` (in the table's variable order)
+contributes bit ``i`` of ``r``.  Sizes are bounded by :data:`MAX_VARS`.
 """
 
 from __future__ import annotations
@@ -14,14 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..cells import functions
-from ..errors import ReproError
+from repro.cells import functions
+from repro.netlist.circuit import Circuit
 
 #: Largest supported variable count (2**MAX_VARS table rows).
 MAX_VARS = 20
 
+#: Variable names used for kind-level (anonymous) ODC tables.
+PLACEHOLDER = tuple(f"in{i}" for i in range(12))
 
-class TruthTableError(ReproError, ValueError):
+
+class TruthTableError(ValueError):
     """Variable mismatch or size overflow in truth-table operations."""
 
 
@@ -46,27 +57,19 @@ class TruthTable:
         if self.bits < 0 or self.bits > _full_mask(len(self.variables)):
             raise TruthTableError("bits out of range for variable count")
 
-    # ------------------------------------------------------------------ #
-    # constructors
-    # ------------------------------------------------------------------ #
-
     @staticmethod
     def constant(value: int, variables: Sequence[str] = ()) -> "TruthTable":
         """Constant 0/1 function over the given variables."""
         variables = tuple(variables)
-        mask = _full_mask(len(variables))
-        return TruthTable(variables, mask if value else 0)
+        return TruthTable(variables, _full_mask(len(variables)) if value else 0)
 
     @staticmethod
     def variable(name: str, variables: Sequence[str]) -> "TruthTable":
         """Projection onto one variable of ``variables``."""
         variables = tuple(variables)
         index = variables.index(name)
-        bits = 0
-        for row in range(1 << len(variables)):
-            if (row >> index) & 1:
-                bits |= 1 << row
-        return TruthTable(variables, bits)
+        rows = (row for row in range(1 << len(variables)) if (row >> index) & 1)
+        return TruthTable.from_rows(variables, rows)
 
     @staticmethod
     def from_kind(kind: str, variables: Sequence[str]) -> "TruthTable":
@@ -86,10 +89,6 @@ class TruthTable:
             bits |= 1 << row
         return TruthTable(variables, bits)
 
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-
     @property
     def n_vars(self) -> int:
         return len(self.variables)
@@ -105,11 +104,9 @@ class TruthTable:
         return (self.bits >> row) & 1
 
     def is_tautology(self) -> bool:
-        """True when the function is constant 1."""
         return self.bits == _full_mask(self.n_vars)
 
     def is_contradiction(self) -> bool:
-        """True when the function is constant 0."""
         return self.bits == 0
 
     def on_set_size(self) -> int:
@@ -118,13 +115,11 @@ class TruthTable:
 
     def on_set(self) -> List[Dict[str, int]]:
         """All satisfying assignments as variable->bit dicts."""
-        result = []
-        for row in range(1 << self.n_vars):
-            if (self.bits >> row) & 1:
-                result.append(
-                    {v: (row >> i) & 1 for i, v in enumerate(self.variables)}
-                )
-        return result
+        return [
+            {v: (row >> i) & 1 for i, v in enumerate(self.variables)}
+            for row in range(1 << self.n_vars)
+            if (self.bits >> row) & 1
+        ]
 
     def depends_on(self, name: str) -> bool:
         """True when the function is sensitive to variable ``name``."""
@@ -134,17 +129,11 @@ class TruthTable:
         """Variables the function actually depends on."""
         return [v for v in self.variables if self.depends_on(v)]
 
-    # ------------------------------------------------------------------ #
-    # algebra
-    # ------------------------------------------------------------------ #
-
     def _aligned(self, other: "TruthTable") -> Tuple["TruthTable", "TruthTable"]:
         if self.variables == other.variables:
             return self, other
         merged = list(self.variables)
-        for var in other.variables:
-            if var not in merged:
-                merged.append(var)
+        merged += [var for var in other.variables if var not in merged]
         return self.extended(merged), other.extended(merged)
 
     def extended(self, variables: Sequence[str]) -> "TruthTable":
@@ -186,15 +175,11 @@ class TruthTable:
         a, b = self._aligned(other)
         return a.bits == b.bits
 
-    # ------------------------------------------------------------------ #
-    # cofactors and Boolean difference
-    # ------------------------------------------------------------------ #
-
     def cofactor(self, name: str, value: int) -> "TruthTable":
-        """Shannon cofactor with variable ``name`` fixed to ``value``.
+        """Shannon cofactor with ``name`` fixed to ``value``.
 
-        The result keeps the full variable tuple (the fixed variable simply
-        becomes irrelevant), which keeps downstream compositions simple.
+        The result keeps the full variable tuple; the fixed variable
+        simply becomes irrelevant.
         """
         index = self.variables.index(name)
         bits = 0
@@ -205,27 +190,101 @@ class TruthTable:
         return TruthTable(self.variables, bits)
 
     def boolean_difference(self, name: str) -> "TruthTable":
-        """``dF/dx = F_x XOR F_x'`` — sensitivity of F to variable ``name``."""
+        """``dF/dx = F_x XOR F_x'`` — sensitivity of F to ``name``."""
         return self.cofactor(name, 1) ^ self.cofactor(name, 0)
 
     def odc(self, name: str) -> "TruthTable":
-        """Observability Don't Care set w.r.t. ``name`` (paper Eq. 1).
-
-        ``ODC_x = (dF/dx)'``: the assignments (of the remaining variables)
-        under which the value of ``x`` cannot be observed at F.
-        """
+        """Paper Eq. 1: ``ODC_x = (dF/dx)'``."""
         return ~self.boolean_difference(name)
 
     def compose(self, name: str, inner: "TruthTable") -> "TruthTable":
-        """Substitute function ``inner`` for variable ``name``.
-
-        Classic function composition: ``F[x := g] = g & F_x | ~g & F_x'``.
-        """
+        """Substitute ``inner`` for ``name``: ``g & F_x | ~g & F_x'``."""
         f1, g = self.cofactor(name, 1)._aligned(inner)
         f0 = self.cofactor(name, 0).extended(f1.variables)
         return (g & f1) | (~g & f0)
 
-    def __str__(self) -> str:
-        rows = 1 << self.n_vars
-        pattern = "".join(str((self.bits >> r) & 1) for r in range(rows))
-        return f"TruthTable({','.join(self.variables)}: {pattern})"
+
+def local_odc(kind: str, n_inputs: int, position: int) -> TruthTable:
+    """ODC set of ``kind``'s input ``position`` over :data:`PLACEHOLDER`.
+
+    The table ranges over all ``n_inputs`` placeholder variables but never
+    depends on ``in<position>`` itself.
+    """
+    if not 0 <= position < n_inputs:
+        raise ValueError(f"input position {position} out of range")
+    table = TruthTable.from_kind(kind, PLACEHOLDER[:n_inputs])
+    return table.odc(PLACEHOLDER[position])
+
+
+def _apply(kind: str, operands: List[TruthTable]) -> TruthTable:
+    if kind == "BUF":
+        return operands[0]
+    if kind == "INV":
+        return ~operands[0]
+    base = functions.base_operator(kind)
+    acc = operands[0]
+    for table in operands[1:]:
+        if base == "AND":
+            acc = acc & table
+        elif base == "OR":
+            acc = acc | table
+        else:  # XOR family
+            acc = acc ^ table
+    return ~acc if functions.is_inverting(kind) else acc
+
+
+def _simulate(
+    circuit: Circuit, variables: Tuple[str, ...], tables: Dict[str, TruthTable]
+) -> Dict[str, TruthTable]:
+    """Fill ``tables`` with every gate's function, in topological order.
+
+    Nets already present in ``tables`` keep their given function.
+    """
+    for gate in circuit.topological_order():
+        if gate.name in tables:
+            continue
+        if gate.kind in ("CONST0", "CONST1"):
+            tables[gate.name] = TruthTable.constant(gate.kind == "CONST1", variables)
+        else:
+            tables[gate.name] = _apply(gate.kind, [tables[n] for n in gate.inputs])
+    return tables
+
+
+def net_functions(circuit: Circuit) -> Dict[str, TruthTable]:
+    """Truth table of every net over the circuit's primary inputs."""
+    variables = tuple(circuit.inputs)
+    if len(variables) > MAX_VARS:
+        raise TruthTableError(
+            f"{len(variables)} primary inputs exceed exact-analysis limit"
+        )
+    tables = {name: TruthTable.variable(name, variables) for name in variables}
+    return _simulate(circuit, variables, tables)
+
+
+def global_observability(circuit: Circuit, net: str) -> TruthTable:
+    """Global observability of ``net``: OR over outputs of ``dF_o/d(net)``.
+
+    ``net`` is replaced by a fresh free variable, the circuit is
+    re-simulated symbolically, and each output is differenced against it.
+    """
+    variables = tuple(circuit.inputs)
+    if len(variables) >= MAX_VARS:
+        raise TruthTableError("too many inputs for global observability")
+    if not circuit.has_net(net):
+        raise TruthTableError(f"unknown net {net!r}")
+    extended = variables + ("__free__",)
+    tables = {name: TruthTable.variable(name, extended) for name in variables}
+    tables[net] = TruthTable.variable("__free__", extended)
+    _simulate(circuit, extended, tables)
+    sensitivity = TruthTable.constant(0, extended)
+    for out in circuit.outputs:
+        sensitivity = sensitivity | tables[out].boolean_difference("__free__")
+    # The sensitivity no longer depends on the free variable: keep the
+    # rows with it at 0, which are exactly the original input tuple's.
+    reduced = sensitivity.cofactor("__free__", 0)
+    return TruthTable(variables, reduced.bits & _full_mask(len(variables)))
+
+
+def global_odc(circuit: Circuit, net: str) -> TruthTable:
+    """Global ODC set of ``net`` (complement of global observability)."""
+    return ~global_observability(circuit, net)

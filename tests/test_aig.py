@@ -173,7 +173,7 @@ class TestAigAgainstTruthTables:
     def test_random_expressions(self, seed):
         import random
 
-        from repro.logic import TruthTable
+        from tests.reference_logic import TruthTable
 
         rng = random.Random(seed)
         variables = ("a", "b", "c", "d")

@@ -1,4 +1,4 @@
-"""Tests for the repro.api facade, FlowOptions, and deprecation shims."""
+"""Tests for the repro.api facade, FlowOptions, and the top-level surface."""
 
 import warnings
 
@@ -104,34 +104,21 @@ class TestFacade:
             save_circuit(None, "x.json")
 
 
-class TestDeprecatedShims:
-    def test_fingerprint_flow_still_works_but_warns(self, fig1_circuit):
-        from repro.flows import fingerprint_flow
+class TestTopLevelSurface:
+    """2.0 removed the lazy compatibility layer and the pre-facade shims."""
 
-        with pytest.warns(DeprecationWarning, match="fingerprint_flow"):
-            result = fingerprint_flow(fig1_circuit, verify=False)
-        assert result.copy is not None
-
-    def test_run_batch_still_works_but_warns(self, fig1_circuit):
-        from repro.flows import run_batch
-
-        with pytest.warns(DeprecationWarning, match="run_batch"):
-            result = run_batch(fig1_circuit, 2)
-        assert result.n_copies == 2
-
-    def test_verify_equivalence_still_works_but_warns(self, fig1_circuit):
-        from repro.flows import verify_equivalence
-
-        with pytest.warns(DeprecationWarning, match="verify_equivalence"):
-            report = verify_equivalence(fig1_circuit, fig1_circuit)
-        assert report.equivalent
-
-    def test_top_level_legacy_import_warns(self):
+    def test_removed_top_level_name_raises(self):
         import repro
 
-        with pytest.warns(DeprecationWarning, match="parse_blif"):
-            parse_blif = repro.parse_blif
-        assert callable(parse_blif)
+        assert not hasattr(repro, "__getattr__")
+        with pytest.raises(AttributeError):
+            repro.parse_blif
+
+    def test_removed_shims_are_gone(self):
+        import repro.flows
+
+        for name in ("fingerprint_flow", "run_batch", "verify_equivalence"):
+            assert not hasattr(repro.flows, name), name
 
     def test_top_level_unknown_name_raises(self):
         import repro

@@ -10,6 +10,9 @@ finished campaign must execute nothing.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.bench.data import data_path
@@ -193,6 +196,33 @@ class TestCrashQuarantine:
         status = campaign_status(db)
         assert status["events"].get("crash", 0) >= 1
         assert status["events"].get("quarantine", 0) == 1
+
+
+    def test_first_crash_at_submit_is_retried_not_quarantined(
+            self, tmp_path, monkeypatch):
+        """A pool found dead at ``submit`` with one job in flight charges
+        that job one crash and retries it, exactly as a death surfaced
+        through ``future.result()`` would — never quarantine on sight."""
+        spec = fp_spec(n_copies=2)
+        baseline_db = str(tmp_path / "baseline.db")
+        run_campaign(spec, baseline_db, CampaignOptions(jobs=1, **FAST))
+
+        class SecondSubmitBreaks(ProcessPoolExecutor):
+            submits = 0
+
+            def submit(self, fn, *args, **kwargs):
+                SecondSubmitBreaks.submits += 1
+                if SecondSubmitBreaks.submits == 2:
+                    raise BrokenProcessPool("pool died before accepting")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr("repro.campaign.scheduler.ProcessPoolExecutor",
+                            SecondSubmitBreaks)
+        db = str(tmp_path / "broken.db")
+        summary = run_campaign(spec, db, CampaignOptions(jobs=2, **FAST))
+        assert (summary.crashes, summary.retried, summary.quarantined) == (1, 1, 0)
+        assert summary.complete and summary.clean
+        assert verdicts(db) == verdicts(baseline_db)
 
 
 class TestTimeoutQuarantine:

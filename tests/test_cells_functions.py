@@ -150,3 +150,40 @@ class TestAlgebraicAttributes:
         assert fn.arity_range("INV") == (1, 1)
         assert fn.arity_range("AND") == (2, None)
         assert fn.arity_range("CONST0") == (0, 0)
+
+
+class TestPaperTable1:
+    """Paper Table I, pinned on the functions the location finder calls."""
+
+    def test_odc_gate_table_reproduces_paper_table1(self):
+        """Controlling-value cells carry an ODC; XOR/XNOR/INV/BUF do not.
+
+        Cross-checked against the exact Eq. 1 truth tables: every input of
+        an ODC cell is unobservable exactly when some other input sits at
+        the controlling value the finder uses as its trigger value.
+        """
+        from repro.cells import GENERIC_LIB
+        from tests.reference_logic import PLACEHOLDER, TruthTable, local_odc
+
+        table = {cell.name: fn.has_odc(cell.kind, cell.n_inputs) for cell in GENERIC_LIB}
+        assert table["NAND2"] and table["NOR3"] and table["AND4"] and table["OR2"]
+        assert not table["XOR2"] and not table["XNOR2"]
+        assert not table["INV"] and not table["BUF"]
+        for cell in GENERIC_LIB:
+            control = fn.controlling_value(cell.kind)
+            if cell.kind in ("AND", "NAND", "OR", "NOR"):
+                assert control is not None and table[cell.name], cell.name
+            else:
+                assert control is None and not table[cell.name], cell.name
+            variables = PLACEHOLDER[: cell.n_inputs]
+            for position in range(cell.n_inputs):
+                odc = local_odc(cell.kind, cell.n_inputs, position)
+                if control is None:
+                    assert odc.is_contradiction(), (cell.name, position)
+                    continue
+                blocked = TruthTable.constant(0, variables)
+                for other in variables:
+                    if other != variables[position]:
+                        var = TruthTable.variable(other, variables)
+                        blocked = blocked | (var if control else ~var)
+                assert odc.equivalent(blocked), (cell.name, position)

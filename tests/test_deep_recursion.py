@@ -3,7 +3,7 @@
 Every traversal in the package is iterative (explicit stacks); this module
 pins that with a 5,000-gate inverter chain — more than 4x the default
 interpreter recursion limit — pushed through validation, cone analysis,
-timing, simulation and BDD compilation.
+timing and simulation.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import sys
 
 import pytest
 
-from repro.logic.bdd import build_output_bdds
 from repro.netlist import Circuit
 from repro.netlist.graph import fanout_free_cone, transitive_fanin, transitive_fanout
 from repro.sim.simulator import Simulator
@@ -63,10 +62,3 @@ def test_simulation(chain):
     assert Simulator(chain).run_single({"x": 1})[head] == 1
     assert Simulator(chain).run_single({"x": 0})[head] == 0
 
-
-def test_bdd_compilation_and_counting(chain):
-    manager, outputs = build_output_bdds(chain)
-    node = outputs[f"n{DEPTH - 1}"]
-    assert node == manager.var("x")  # 5,000 INVs cancel out
-    assert manager.sat_count(node) == 1
-    assert manager.sat_count(manager.not_(node)) == 1

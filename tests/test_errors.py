@@ -18,8 +18,6 @@ from repro.errors import (
 from repro.fingerprint.embed import EmbeddingError
 from repro.fingerprint.fuses import FuseError
 from repro.fingerprint.signature import RegistryFullError
-from repro.logic.bdd import BddError
-from repro.logic.truthtable import TruthTableError
 from repro.netlist.blif import BlifError
 from repro.netlist.circuit import NetlistError
 from repro.netlist.sop import SopError
@@ -30,7 +28,6 @@ from repro.sim.vectors import StimulusError
 from repro.techmap.mapper import MappingError
 
 ALL_ERROR_TYPES = [
-    BddError,
     BudgetError,
     BlifError,
     CellNotFoundError,
@@ -46,7 +43,6 @@ ALL_ERROR_TYPES = [
     SopError,
     StimulusError,
     TraversalError,
-    TruthTableError,
     UnknownGateKindError,
     VerificationError,
     VerilogError,
@@ -69,7 +65,6 @@ def test_every_library_error_is_a_repro_error(error_type):
         (VerilogError, ValueError),
         (MappingError, ValueError),
         (CnfError, ValueError),
-        (BddError, ValueError),
         (CellNotFoundError, KeyError),
         (RegistryFullError, RuntimeError),
         (FuseError, RuntimeError),

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.api import verify
 from repro.errors import FaultInjectionError, ReproError
 from repro.faultinject import (
     ALL_CORRUPTORS,
@@ -22,7 +23,6 @@ from repro.faultinject import (
     run_text_campaign,
     structural_mutators,
 )
-from repro.flows import verify_equivalence
 from repro.netlist import Circuit, NetlistError, write_blif, write_verilog
 from repro.netlist.blif import parse_blif
 from repro.netlist.verilog import parse_verilog
@@ -130,7 +130,7 @@ def test_functional_fault_is_caught_by_verification(mutator, seed_circuits):
     mutant = fig1.clone("functional_mutant")
     mutator.apply(mutant, random.Random(0))
     mutant.validate()  # functional faults leave the structure legal
-    report = verify_equivalence(fig1, mutant)
+    report = verify(fig1, mutant)
     assert not report.equivalent
     assert report.proven
 

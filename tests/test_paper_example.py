@@ -13,7 +13,7 @@ from repro.fingerprint import (
     extract,
     find_locations,
 )
-from repro.logic import TruthTable, global_odc
+from tests.reference_logic import TruthTable, global_odc
 from repro.netlist import Circuit
 from repro.sim import exhaustive_equivalent
 

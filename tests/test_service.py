@@ -3,12 +3,6 @@
 One in-thread server (ephemeral port) backs the whole module; each test
 that cares about warm/cold behaviour uses a uniquely named design so the
 shared artifact store cannot leak warmth between tests.
-
-The ``client`` fixture is parametrized over both API surfaces — the
-versioned ``/v1`` routes and the deprecated unversioned aliases — so
-every behaviour here is asserted against both (ISSUE 9 acceptance
-criterion).  Warm/cold tests fold the surface name into their design
-names: the two parametrizations must not share store warmth.
 """
 
 from __future__ import annotations
@@ -59,11 +53,9 @@ def server():
     telemetry.get_registry().reset()
 
 
-@pytest.fixture(scope="module", params=["v1", "legacy"])
-def client(server, request):
-    return ServiceClient(
-        port=server.port, api_version=request.param, retry_429=0
-    )
+@pytest.fixture(scope="module")
+def client(server):
+    return ServiceClient(port=server.port, retry_429=0)
 
 
 class TestEndpoints:
@@ -110,7 +102,7 @@ class TestEndpoints:
         connection = http.client.HTTPConnection(client.host, client.port)
         try:
             connection.request(
-                "POST", client._prefix + "/jobs", body="{not json",
+                "POST", "/v1/jobs", body="{not json",
                 headers={"Content-Type": "application/json"},
             )
             response = connection.getresponse()
@@ -145,9 +137,7 @@ class TestEndpoints:
 
 class TestJobExecution:
     def test_locate_round_trip(self, client):
-        envelope = client.run(
-            "locate", design=blif(f"rt_{client.api_version}"), format="blif"
-        )
+        envelope = client.run("locate", design=blif("rt"), format="blif")
         assert envelope["ok"] is True
         assert envelope["command"] == "locate"
         assert envelope["result"]["n_locations"] >= 1
@@ -159,7 +149,7 @@ class TestJobExecution:
         """The PR 7 acceptance criterion: an identical resubmission is
         served from the store (no IR compile, CNF encode, or catalog
         build of its own) with a bit-identical verdict."""
-        text = blif(f"warmpair_{client.api_version}")
+        text = blif("warmpair")
         cold = client.run("batch", design=text, n_copies=2,
                           options={"seed": 7})
         warm = client.run("batch", design=text, n_copies=2,
@@ -204,9 +194,7 @@ class TestJobExecution:
         assert status["attempts"] == 0
 
     def test_events_stream_ends_with_result(self, client):
-        submitted = client.submit(
-            "locate", design=blif(f"sse_{client.api_version}"), format="blif"
-        )
+        submitted = client.submit("locate", design=blif("sse"), format="blif")
         events = list(client.events(submitted["job_id"]))
         assert events, "stream yielded nothing"
         assert events[-1]["event"] == "result"
@@ -215,20 +203,18 @@ class TestJobExecution:
         assert payload["envelope"]["ok"] is True
 
     def test_verify_command(self, client):
-        text = blif(f"verifyme_{client.api_version}")
+        text = blif("verifyme")
         envelope = client.run("verify", design=text, suspect=text)
         assert envelope["result"]["equivalent"] is True
 
     def test_prepare_command(self, client):
-        envelope = client.run(
-            "prepare", design=blif(f"prep_{client.api_version}")
-        )
+        envelope = client.run("prepare", design=blif("prep"))
         assert envelope["ok"] is True
         assert len(envelope["result"]["digest"]) == 64
         assert envelope["result"]["prepared"] is True
 
     def test_job_listing_paginates(self, client):
-        tenant = f"pager_{client.api_version}"
+        tenant = "pager"
         for i in range(3):
             client.run("prepare", design=blif(f"{tenant}_{i}"), tenant=tenant)
         listing = client.jobs(tenant=tenant, limit=2, offset=0)

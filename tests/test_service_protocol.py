@@ -1,10 +1,8 @@
-"""Tests for the typed ``/v1`` protocol and the legacy-alias parity.
+"""Tests for the typed ``/v1`` protocol.
 
-Covers the ISSUE 9 API-redesign satellites: protocol validation units,
-``/v1``-vs-legacy byte-for-byte body parity, the ``Deprecation``
-migration signals, listing pagination validation, and the reworked
-:class:`ServiceClient` (keyword-only constructor shim, ``submit_many``,
-429 retry-with-backoff).
+Covers protocol validation units, the 404 on unversioned paths (removed
+in 2.0), listing pagination validation, and :class:`ServiceClient`
+(keyword-only constructor, ``submit_many``, 429 retry-with-backoff).
 """
 
 from __future__ import annotations
@@ -135,40 +133,24 @@ class TestProtocolUnits:
         assert "envelope" not in listed.as_dict()
 
 
-class TestRouteParity:
-    """Legacy aliases must serve the exact ``/v1`` bytes, plus headers."""
+class TestUnversionedRoutesRemoved:
+    """Only ``/v1`` paths route; the unversioned aliases are gone."""
 
-    def test_terminal_job_body_is_byte_identical(self, server, client):
-        submitted = client.submit("prepare", design=blif("parity"))
+    def test_unversioned_health_is_404(self, server, client):
+        status, headers, body = raw_get(server, "/health")
+        assert status == 404
+        assert json.loads(body)["code"] == "not_found"
+        assert "Deprecation" not in headers
+        assert "deprecated" not in client.stats()["result"]
+
+    def test_unversioned_job_is_404(self, server, client):
+        submitted = client.submit("prepare", design=blif("unversioned"))
         client.wait(submitted["job_id"])
         path = f"/jobs/{submitted['job_id']}"
-        s1, h1, b1 = raw_get(server, "/v1" + path)
-        s2, h2, b2 = raw_get(server, path)
-        assert s1 == s2 == 200
-        assert b1 == b2
-        assert "Deprecation" not in h1
-        assert h2["Deprecation"] == "true"
-        assert 'rel="successor-version"' in h2["Link"]
-
-    def test_error_body_is_byte_identical(self, server):
-        s1, h1, b1 = raw_get(server, "/v1/jobs/nope")
-        s2, h2, b2 = raw_get(server, "/jobs/nope")
-        assert s1 == s2 == 404
-        assert b1 == b2
-        assert json.loads(b1)["code"] == "unknown_job"
-        assert "Deprecation" not in h1 and h2["Deprecation"] == "true"
-
-    def test_deprecated_hits_are_counted(self, server, client):
-        before = client.stats()["result"]["deprecated"]["hits"]
-        raw_get(server, "/health")
-        raw_get(server, "/stats")
-        after = client.stats()["result"]
-        assert after["deprecated"]["hits"] >= before + 2
-        assert after["deprecated"]["by_route"].get("/health", 0) >= 1
-
-    def test_unmatched_routes_get_no_deprecation_header(self, server):
-        # Only *matched* legacy aliases are deprecated; garbage is just 404.
-        _, headers, _ = raw_get(server, "/completely/unknown")
+        assert raw_get(server, "/v1" + path)[0] == 200
+        status, headers, body = raw_get(server, path)
+        assert status == 404
+        assert json.loads(body)["code"] == "not_found"
         assert "Deprecation" not in headers
 
 
@@ -198,22 +180,12 @@ class TestListingValidation:
 
 
 class TestClientRework:
-    def test_positional_args_warn_but_work(self, server):
-        with pytest.warns(DeprecationWarning):
-            shim = ServiceClient("127.0.0.1", server.port, 30.0)
-        assert (shim.host, shim.port, shim.timeout) == (
-            "127.0.0.1", server.port, 30.0
-        )
-        assert shim.health()["status"] == "ok"
-
-    def test_too_many_positionals_is_type_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                ServiceClient("127.0.0.1", 1, 1.0, "extra")
-
-    def test_unknown_api_version_rejected(self):
-        with pytest.raises(ValueError):
-            ServiceClient(api_version="v2")
+    def test_too_many_positionals_is_type_error(self, server):
+        # The constructor is keyword-only: any positional is one too many.
+        with pytest.raises(TypeError):
+            ServiceClient("127.0.0.1", server.port)
+        with pytest.raises(TypeError):
+            ServiceClient("127.0.0.1", 1, 1.0, "extra")
 
     def test_submit_many(self, client):
         accepted = client.submit_many([

@@ -3,7 +3,7 @@ checked empirically across real catalogs."""
 
 import pytest
 
-from repro.logic import global_observability
+from tests.reference_logic import global_observability
 from repro.sim import (
     conditional_observability,
     simulated_observability,

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import fingerprint, verify
 from repro.budget import Budget
-from repro.flows import (
-    LadderConfig,
-    VerificationTier,
-    fingerprint_flow,
-    verify_equivalence,
-)
+from repro.flows import LadderConfig, VerificationTier, run_ladder
 from repro.netlist import Circuit
 
 
@@ -38,7 +34,7 @@ def wide_pair():
 
 
 def test_small_circuit_decided_exhaustively(fig1_circuit, fig1_modified):
-    report = verify_equivalence(fig1_circuit, fig1_modified)
+    report = verify(fig1_circuit, fig1_modified)
     assert report.tier is VerificationTier.EXHAUSTIVE_SIM
     assert report.equivalent and report.proven
     assert report.confidence == 1.0
@@ -47,7 +43,7 @@ def test_small_circuit_decided_exhaustively(fig1_circuit, fig1_modified):
 
 def test_exhaustive_finds_counterexample(fig1_circuit):
     mutant = _mutate(fig1_circuit, "fig1_broken")
-    report = verify_equivalence(fig1_circuit, mutant)
+    report = verify(fig1_circuit, mutant)
     assert not report.equivalent and report.proven
     assert report.counterexample is not None
     assert report.tier is VerificationTier.EXHAUSTIVE_SIM
@@ -55,7 +51,7 @@ def test_exhaustive_finds_counterexample(fig1_circuit):
 
 def test_wide_circuit_climbs_to_sat(wide_pair):
     base, copy = wide_pair
-    report = verify_equivalence(base, copy)
+    report = verify(base, copy)
     assert report.tier is VerificationTier.SAT_CEC
     assert report.equivalent and report.proven
     assert not report.budget_hit
@@ -71,7 +67,7 @@ def test_starved_budget_falls_to_random(wide_pair):
     config = LadderConfig(
         sat_budget=Budget(max_conflicts=1), n_random_vectors=4096
     )
-    report = verify_equivalence(base, copy, config=config)
+    report = verify(base, copy, ladder=config)
     assert report.tier is VerificationTier.RANDOM_SIM
     assert report.equivalent and not report.proven
     assert report.budget_hit
@@ -86,7 +82,7 @@ def test_random_tier_mismatch_is_a_proof(wide_pair):
     config = LadderConfig(
         sat_budget=Budget(max_conflicts=1), n_random_vectors=4096
     )
-    report = verify_equivalence(base, mutant, config=config)
+    report = verify(base, mutant, ladder=config)
     assert not report.equivalent
     assert report.proven  # a found counterexample is a proof either way
     assert report.counterexample is not None
@@ -94,7 +90,7 @@ def test_random_tier_mismatch_is_a_proof(wide_pair):
 
 def test_sat_disabled_skips_the_tier(wide_pair):
     base, copy = wide_pair
-    report = verify_equivalence(base, copy, config=LadderConfig(use_sat=False))
+    report = verify(base, copy, ladder=LadderConfig(use_sat=False))
     assert report.tier is VerificationTier.RANDOM_SIM
     assert "sat-cec" not in report.tiers_tried
 
@@ -102,12 +98,12 @@ def test_sat_disabled_skips_the_tier(wide_pair):
 def test_confidence_for_scales_with_detectable_rate(wide_pair):
     base, copy = wide_pair
     config = LadderConfig(sat_budget=Budget(max_conflicts=1))
-    report = verify_equivalence(base, copy, config=config)
+    report = verify(base, copy, ladder=config)
     assert report.confidence_for(1e-2) > report.confidence_for(1e-4)
 
 
 def test_flow_never_raises_on_verification_timeout(fig1_circuit):
-    """fingerprint_flow must yield a FlowResult even when every proof
+    """fingerprint must yield a FlowResult even when every proof
     tier is starved — the second half of the ISSUE's acceptance check."""
     config = LadderConfig(
         max_exhaustive_inputs=1,
@@ -118,31 +114,31 @@ def test_flow_never_raises_on_verification_timeout(fig1_circuit):
         # budget-degradation machinery under test actually engages.
         sat_simplify=False,
     )
-    result = fingerprint_flow(fig1_circuit, ladder=config)
+    result = fingerprint(fig1_circuit, ladder=config)
     assert result.verification is not None
     assert result.verification.tier is VerificationTier.RANDOM_SIM
     assert result.verification.budget_hit
     assert result.verification.equivalent
-    # the legacy field stays populated for old callers
-    assert result.equivalence is not None and result.equivalence.equivalent
+    # the one verdict field stays populated
+    assert result.verification is not None and result.verification.equivalent
 
 
 def test_flow_default_ladder_proves(fig1_circuit):
-    result = fingerprint_flow(fig1_circuit)
+    result = fingerprint(fig1_circuit)
     assert result.verification.proven
     assert "verification" in result.summary()
 
 
 def test_report_summary_mentions_tier(wide_pair):
     base, copy = wide_pair
-    report = verify_equivalence(base, copy)
+    report = verify(base, copy)
     assert "sat-cec" in report.summary()
 
 
 def test_identical_pair_decided_structurally(fig1_circuit):
     """Tier 0: a copy with zero surviving modifications never simulates
     or builds a miter."""
-    report = verify_equivalence(fig1_circuit, fig1_circuit.clone("twin"))
+    report = verify(fig1_circuit, fig1_circuit.clone("twin"))
     assert report.tier is VerificationTier.STRUCTURAL
     assert report.equivalent and report.proven
     assert report.tiers_tried == ("structural",)
@@ -155,7 +151,7 @@ def test_session_backed_sat_tier(wide_pair):
 
     base, copy = wide_pair
     session = IncrementalCecSession(base)
-    report = verify_equivalence(base, copy, session=session)
+    report = run_ladder(base, copy, session=session)
     assert report.tier is VerificationTier.SAT_CEC
     assert report.equivalent and report.proven
     assert report.tiers_tried == ("sat-cec",)
@@ -170,7 +166,7 @@ def test_session_backed_budget_degradation(wide_pair):
     config = LadderConfig(
         sat_budget=Budget(max_decisions=0), n_random_vectors=1024
     )
-    report = verify_equivalence(base, copy, config=config, session=session)
+    report = run_ladder(base, copy, config=config, session=session)
     assert report.tier is VerificationTier.RANDOM_SIM
     assert report.budget_hit and not report.proven
     assert report.tiers_tried == ("sat-cec", "random-sim")
@@ -182,4 +178,4 @@ def test_session_base_mismatch_rejected(wide_pair, fig1_circuit):
     base, copy = wide_pair
     session = IncrementalCecSession(base)
     with pytest.raises(ValueError, match="session base"):
-        verify_equivalence(fig1_circuit, copy, session=session)
+        run_ladder(fig1_circuit, copy, session=session)
