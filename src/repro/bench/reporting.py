@@ -15,6 +15,13 @@ def _fmt(value: float, digits: int = 2) -> str:
     return f"{value:.{digits}f}"
 
 
+def _equiv_cell(row: Table2Row) -> str:
+    """``yes`` for a proven equivalence, ``yes?`` for an unproven one."""
+    if not row.equivalent:
+        return "NO"
+    return "yes" if row.proven else "yes?"
+
+
 def render_table2(rows: Sequence[Table2Row]) -> str:
     """Render Table II with measured and paper overheads."""
     header = (
@@ -42,7 +49,7 @@ def render_table2(rows: Sequence[Table2Row]) -> str:
             f"{_fmt(paper.get('area_oh', float('nan'))):>7}"
             f"{_fmt(paper.get('delay_oh', float('nan'))):>7}"
             f"{_fmt(paper.get('power_oh', float('nan'))):>7}"
-            f"{'yes' if row.equivalent else 'NO':>7}"
+            f"{_equiv_cell(row):>7}"
         )
     if rows:
         n = len(rows)
@@ -123,6 +130,7 @@ def table2_records(rows: Sequence[Table2Row]) -> List[dict]:
                 "delay_overhead": row.overhead.delay,
                 "power_overhead": row.overhead.power,
                 "equivalent": row.equivalent,
+                "proven": row.proven,
                 "paper": row.paper,
             }
         )

@@ -64,7 +64,6 @@ from .fingerprint import (
     find_locations,
 )
 from .netlist import Circuit, save_verilog
-from .sim import check_equivalence
 
 CommandResult = Tuple[int, Dict[str, Any]]
 
@@ -93,8 +92,6 @@ def _ladder_config(args: argparse.Namespace) -> LadderConfig:
         ),
         use_sat=not args.no_sat,
         n_random_vectors=args.random_vectors,
-        sat_simplify=not args.no_simplify,
-        sat_portfolio=args.portfolio,
     )
 
 
@@ -127,16 +124,6 @@ def _add_ladder_options(p: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--no-sat", action="store_true",
         help="skip the SAT tier (straight to random simulation)",
-    )
-    group.add_argument(
-        "--no-simplify", action="store_true",
-        help="skip SatELite-style CNF preprocessing before scratch miter "
-             "solves (preprocessing is verdict-neutral and on by default)",
-    )
-    group.add_argument(
-        "--portfolio", type=int, default=0, metavar="N",
-        help="race N solver configurations per hard incremental SAT "
-             "obligation, first verdict wins (default: 0 = off)",
     )
 
 
@@ -225,13 +212,12 @@ def _cmd_embed(args: argparse.Namespace) -> CommandResult:
     else:
         value = args.value % codec.combinations
     copy = embed(design, catalog, codec.encode(value))
-    verify_method = None
+    report = None
     if args.verify:
-        verdict = check_equivalence(design, copy.circuit)
-        if not verdict.equivalent:
+        report = run_ladder(design, copy.circuit)
+        if not report.equivalent:
             raise SystemExit("internal error: embedding broke functionality")
-        verify_method = "exhaustive" if verdict.complete else "random"
-        _say(args, f"verified equivalent ({verify_method})")
+        _say(args, f"verified {report.summary()}")
     _say(args, f"embedded fingerprint value {value} "
                f"({copy.n_active} modifications)")
     if args.output:
@@ -247,7 +233,8 @@ def _cmd_embed(args: argparse.Namespace) -> CommandResult:
         "buyer": args.buyer,
         "n_modifications": copy.n_active,
         "verified": bool(args.verify),
-        "verify_method": verify_method,
+        "tier": report.tier.value if report is not None else None,
+        "proven": report.proven if report is not None else False,
         "output": args.output,
     }
     return 0, result

@@ -8,7 +8,9 @@ same discipline to the fingerprinting flow with a three-tier ladder:
 
 1. **Exhaustive simulation** — when the input count permits, a complete
    proof at bit-parallel simulation speed.
-2. **Budgeted SAT CEC** — the miter, solved under a
+2. **Budgeted SAT CEC** — simulation, SAT sweeping of internal
+   equivalences and the remaining output miters
+   (:mod:`repro.sat.incremental`), solved under a
    :class:`repro.budget.Budget`; a hard instance returns ``UNDECIDED``
    instead of hanging.
 3. **Random-simulation fallback** — a probabilistic verdict with an
@@ -32,7 +34,7 @@ from .. import telemetry
 from ..budget import Budget
 from ..errors import ReproError, annotate
 from ..netlist.circuit import Circuit
-from ..sat.cec import CecVerdict, check as sat_check, structurally_identical
+from ..sat.cec import CecResult, CecVerdict, check as sat_check, structurally_identical
 from ..sat.solver import SolverStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -72,14 +74,6 @@ class LadderConfig:
         detectable_rate: The activation rate ``eps`` used for the headline
             confidence estimate of the random tier (see
             :meth:`VerificationReport.confidence_for`).
-        sat_simplify: Run the SatELite-style CNF preprocessor
-            (:mod:`repro.sat.preprocess`) on scratch miters before solving.
-            Verdict-neutral (the differential suite pins it); off switches
-            to the raw miter.
-        sat_portfolio: When ≥ 2, incremental-session SAT obligations with
-            large dirty cones race that many solver configurations in
-            parallel processes, first verdict wins.  0 disables racing
-            (the default — racing spends cores for latency).
     """
 
     max_exhaustive_inputs: int = 16
@@ -88,8 +82,6 @@ class LadderConfig:
     n_random_vectors: int = 8192
     seed: int = 0
     detectable_rate: float = 1e-3
-    sat_simplify: bool = True
-    sat_portfolio: int = 0
 
 
 @dataclass(frozen=True)
@@ -185,6 +177,18 @@ def run_ladder(
         return report
 
 
+def _sat_work(cec: CecResult) -> str:
+    """What decided (or stopped) the SAT tier, with the sweep's share."""
+    reason = cec.reason or cec.verdict.value
+    detail = cec.detail
+    if detail is not None and "obligations" in detail:
+        reason += (
+            f" ({detail['pairs_merged']} internal pairs merged, "
+            f"{detail['obligations']} output obligations after sweeping)"
+        )
+    return reason
+
+
 def _run_tiers(
     left: Circuit,
     right: Circuit,
@@ -252,18 +256,9 @@ def _run_tiers(
         try:
             with tier_span:
                 if session is not None:
-                    cec = session.verify(
-                        right,
-                        budget=tier_budget,
-                        portfolio=config.sat_portfolio,
-                    )
+                    cec = session.verify(right, budget=tier_budget)
                 else:
-                    cec = sat_check(
-                        left,
-                        right,
-                        budget=tier_budget,
-                        simplify=config.sat_simplify,
-                    )
+                    cec = sat_check(left, right, budget=tier_budget)
                 spent = cec.stats.conflicts - conflicts_before
                 remaining = (
                     max(0, tier_budget.max_conflicts - spent)
@@ -285,7 +280,7 @@ def _run_tiers(
                 tier=VerificationTier.SAT_CEC,
                 reason=(
                     f"{n_inputs} inputs exceed exhaustive limit {limit}; "
-                    f"miter resolved within {config.sat_budget}"
+                    f"{_sat_work(cec)} within {config.sat_budget}"
                 ),
                 confidence=1.0,
                 counterexample=cec.counterexample,
@@ -293,7 +288,7 @@ def _run_tiers(
                 tiers_tried=tuple(tried),
             )
         budget_hit = True
-        sat_reason = f"SAT undecided ({cec.reason})"
+        sat_reason = f"SAT undecided ({_sat_work(cec)})"
 
     # ---- tier 3: random-simulation fallback --------------------------- #
     tried.append(VerificationTier.RANDOM_SIM.value)

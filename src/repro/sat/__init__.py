@@ -19,7 +19,6 @@ from .preprocess import (
     preprocess,
     preprocess_for_solve,
 )
-from .portfolio import PORTFOLIO_CONFIGS, RaceOutcome, configs_for, race
 from .tseitin import CircuitEncoding, encode_circuit, encode_gate
 from .cec import (
     CecResult,
@@ -48,10 +47,6 @@ __all__ = [
     "INCREMENTAL_SAFE",
     "preprocess",
     "preprocess_for_solve",
-    "PORTFOLIO_CONFIGS",
-    "RaceOutcome",
-    "configs_for",
-    "race",
     "CircuitEncoding",
     "encode_circuit",
     "encode_gate",

@@ -3,9 +3,12 @@
 Builds the classic miter: both circuits share primary-input variables,
 each pair of same-named outputs feeds an XOR, and the OR of all XORs is
 asserted true.  UNSAT proves equivalence; a model is a counterexample
-vector.  This is the complete check used when circuits are too wide for
-exhaustive simulation, mirroring the role of an industrial CEC step that
-the paper's "without changing the functionality" claim rests on.
+vector.  :func:`build_miter` is that construction; :func:`check` — the
+complete check used when circuits are too wide for exhaustive simulation,
+mirroring the role of an industrial CEC step that the paper's "without
+changing the functionality" claim rests on — runs a one-shot
+:class:`~repro.sat.incremental.IncrementalCecSession` instead, which
+merges proven-equal internal nets before any output miter is solved.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from ..hashing import COMMUTATIVE_KINDS  # noqa: F401 - re-export
 from ..ir import compile_circuit
 from ..netlist.circuit import Circuit
 from ..sim.equivalence import PortMismatchError
-from .preprocess import PreprocessConfig, preprocess
-from .solver import CdclSolver, SolverConfig, SolverStats
+from .preprocess import preprocess  # noqa: F401 - re-export: perfbench/tracing.py wraps this name
+from .solver import SolverStats
 from .tseitin import CircuitEncoding, _encode_xor2, encode_circuit
 
 
@@ -136,28 +139,21 @@ def check(
     left: Circuit,
     right: Circuit,
     budget: Optional[Budget] = None,
-    *,
-    simplify: bool = True,
-    solver_config: Optional[SolverConfig] = None,
-    preprocess_config: Optional[PreprocessConfig] = None,
 ) -> CecResult:
-    """Budgeted equivalence check via the miter; SAT model = mismatch.
+    """Budgeted equivalence check of ``right`` against ``left``.
 
-    With a ``budget``, a hard miter yields :data:`CecVerdict.UNDECIDED`
-    instead of running unbounded — the caller decides what that means
-    (the verification ladder falls back to random simulation).
+    A one-shot :class:`~repro.sat.incremental.IncrementalCecSession`: the
+    same simulation pre-filter, SAT sweeping and output obligations as a
+    multi-copy session, so every SAT proof of a copy runs through one
+    engine.  With a ``budget``, a hard instance yields
+    :data:`CecVerdict.UNDECIDED` instead of running unbounded — the caller
+    decides what that means (the verification ladder falls back to random
+    simulation).
 
     Structurally identical pairs (see :func:`structurally_identical`) are
-    discharged without building a miter or touching the solver at all —
-    the common case for fingerprint requests whose modifications were all
+    discharged without encoding or touching the solver at all — the
+    common case for fingerprint requests whose modifications were all
     pruned away.
-
-    ``simplify`` runs the SatELite-style preprocessor
-    (:mod:`repro.sat.preprocess`) on the miter before solving — primary
-    inputs are frozen so counterexamples read straight off the extended
-    model; the differential suite pins verdicts identical either way.
-    ``solver_config`` picks the CDCL inner-loop configuration (default:
-    all speed features on).
     """
     if structurally_identical(left, right):
         return CecResult(
@@ -166,31 +162,9 @@ def check(
             SolverStats(),
             reason="structurally identical under canonical hashing",
         )
-    encoding = build_miter(left, right)
-    pre = None
-    cnf = encoding.cnf
-    if simplify:
-        frozen = [encoding.var_of[net] for net in left.inputs]
-        pre = preprocess(cnf, frozen=frozen, config=preprocess_config)
-        if pre.status is False:
-            return CecResult(
-                CecVerdict.EQUIVALENT,
-                None,
-                SolverStats(),
-                reason="refuted during preprocessing",
-            )
-        cnf = pre.cnf
-    solver = CdclSolver(cnf, config=solver_config)
-    result = solver.solve(budget=budget)
-    if result.unknown:
-        return CecResult(CecVerdict.UNDECIDED, None, result.stats, result.reason)
-    if not result.satisfiable:
-        return CecResult(CecVerdict.EQUIVALENT, None, result.stats)
-    model = result.model if pre is None else pre.extend_model(result.model)
-    counterexample = {
-        net: int(model.get(encoding.var_of[net], False)) for net in left.inputs
-    }
-    return CecResult(CecVerdict.NOT_EQUIVALENT, counterexample, result.stats)
+    from .incremental import IncrementalCecSession  # the session imports this module
+
+    return IncrementalCecSession(left).verify(right, budget=budget)
 
 
 def sat_equivalent(left: Circuit, right: Circuit) -> CecResult:

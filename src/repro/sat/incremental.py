@@ -2,38 +2,50 @@
 
 The fingerprinting flow issues *many* distinct copies of one base design
 (one per user), and every copy must be proven functionally equivalent to
-the base.  The scratch checker (:func:`repro.sat.cec.check`) rebuilds the
-full miter CNF and runs a fresh solver per copy — wasteful, because each
-copy differs from the base only inside the fanout cones of a handful of
-ODC modifications.  :class:`IncrementalCecSession` exploits that:
+the base.  Each copy differs from the base only inside the fanout cones of
+a handful of ODC modifications, and each modification is masked at its
+location's primary gate a few levels up.  :class:`IncrementalCecSession`
+exploits both facts, and :func:`repro.sat.cec.check` is a one-shot session,
+so every SAT proof of a copy runs through this one engine:
 
 1. **Encode the base once.**  The base circuit is Tseitin-encoded a single
    time (stable variable numbering from the compiled IR's interned order)
-   into one persistent :class:`~repro.sat.solver.CdclSolver`.
+   into one persistent :class:`~repro.sat.solver.CdclSolver`, and its full
+   packed-simulation matrix is kept as per-net signatures.
 
-2. **Encode each copy as a delta.**  Copy gates are walked in topological
+2. **Simulation first.**  Packed random vectors are run through the copy
+   before any encoding.  A signature mismatch on any output is an
+   immediate NOT_EQUIVALENT with a concrete counterexample vector.
+
+3. **Encode each copy as a delta.**  Copy gates are walked in topological
    order and structurally hashed over (kind, CNF fanin variables); a gate
    whose key already exists — in the base, or in a previously verified
    copy — reuses that variable and contributes *zero* clauses.  Only gates
    inside the modified cones allocate fresh variables.
 
-3. **Discharge clean outputs structurally.**  An output whose copy
+4. **SAT sweeping.**  A freshly encoded gate whose same-name base net has
+   an identical simulation signature is a candidate pair ("simulation
+   proposes, SAT validates").  Two assumption solves, ``[v, -b]`` and
+   ``[-v, b]``, under a small per-pair conflict cap (charged to the call's
+   budget) try to prove it; when both are UNSAT the two equivalence
+   clauses are added and the net and its strash entry take the base
+   variable, so hashing resumes downstream and later copies reuse the
+   merge without another SAT call.  A SAT or UNKNOWN answer keeps the
+   fresh variable.  Bottom-up order means each proof only spans the logic
+   between the last merged nets — typically the modified cone up to the
+   location's primary gate.
+
+5. **Discharge clean outputs structurally.**  An output whose copy
    variable equals its base variable is equivalent by construction; no
-   miter, no SAT.  Only outputs reached by a modification need proof.
+   miter, no SAT.  Only outputs the sweep did not reach need proof.
 
-4. **Simulation-guided pre-filtering.**  Before any SAT call, packed
-   random vectors are run through the compiled IR on base and copy.  A
-   signature mismatch on any output is an immediate NOT_EQUIVALENT with a
-   concrete counterexample vector; matching signatures order the remaining
-   SAT obligations hardest-last (by dirty-cone size), so cheap proofs land
-   first and a budget interruption wastes the least work.
-
-5. **One persistent solver, assumptions, activation literals.**  Each
-   copy's miter clauses are gated behind a fresh activation literal and
-   solved under assumptions, so learned clauses accumulate across copies
-   and outputs; after the copy's verdict the activation literal is
-   permanently negated, retiring its miter clauses without touching the
-   shared base encoding.
+6. **Output obligations on one persistent solver.**  The remaining
+   outputs are ordered hardest-last (by dirty-cone size) and each miter
+   is gated behind a fresh activation literal and solved under
+   assumptions, so learned clauses accumulate across copies and outputs;
+   after the copy's verdict the activation literal is permanently
+   negated, retiring its miter clauses without touching the shared base
+   encoding.
 """
 
 from __future__ import annotations
@@ -53,10 +65,15 @@ from ..sim.simulator import Simulator
 from ..sim.vectors import WORD_BITS, random_stimulus, vector_of
 from ..hashing import gate_key
 from .cec import CecResult, CecVerdict
-from .preprocess import INCREMENTAL_SAFE, preprocess
+from .preprocess import preprocess  # noqa: F401 - re-export: perfbench/tracing.py wraps this name
 from .solver import CdclSolver, SolverConfig
-from . import portfolio as portfolio_mod
 from .tseitin import _encode, encode_circuit
+
+#: Conflicts one sweep candidate pair may spend on its two proof solves.
+#: True pairs between a copy and its base close by propagation or a few
+#: conflicts once their fanins are merged; a pair that needs more is left
+#: to the output obligations rather than starving them.
+SWEEP_PAIR_CONFLICTS = 100
 
 
 class _SolverSink:
@@ -79,7 +96,12 @@ class _SolverSink:
 
 @dataclass
 class SessionStats:
-    """Aggregate work accounting across all copies verified by a session."""
+    """Aggregate work accounting across all copies verified by a session.
+
+    ``pairs_proven`` / ``pairs_refuted`` / ``pairs_undecided`` count the
+    sweep's candidate pairs by outcome (merged, SAT witness, cap or budget
+    hit); ``sat_calls`` counts output obligations only.
+    """
 
     copies: int = 0
     outputs_total: int = 0
@@ -90,6 +112,9 @@ class SessionStats:
     undecided: int = 0
     gates_encoded: int = 0
     gates_reused: int = 0
+    pairs_proven: int = 0
+    pairs_refuted: int = 0
+    pairs_undecided: int = 0
 
 
 class IncrementalCecSession:
@@ -102,16 +127,12 @@ class IncrementalCecSession:
 
     Args:
         base: The golden circuit every copy is checked against.
-        n_vectors: Packed random vectors for the simulation pre-filter
+        n_vectors: Packed random vectors for the simulation signatures
             (must be a multiple of 64; signatures cost one word-parallel
             sweep per copy).
         seed: Stimulus seed, so sessions are reproducible.
         solver_config: Inner-loop configuration for the persistent solver
             (default: all speed features on).
-        simplify_base: Run the incremental-safe preprocessor (probing +
-            subsumption + self-subsuming resolution, **no** variable
-            elimination — later copy deltas may reference any base
-            variable) over the base encoding before loading the solver.
     """
 
     def __init__(
@@ -120,7 +141,6 @@ class IncrementalCecSession:
         n_vectors: int = 512,
         seed: int = 2015,
         solver_config: Optional[SolverConfig] = None,
-        simplify_base: bool = True,
     ) -> None:
         if n_vectors <= 0 or n_vectors % WORD_BITS:
             raise ValueError(f"n_vectors must be a positive multiple of {WORD_BITS}")
@@ -133,18 +153,13 @@ class IncrementalCecSession:
         ):
             encoding = encode_circuit(base)
             self._base_var: Dict[str, int] = dict(encoding.var_of)
-            cnf = encoding.cnf
-            if simplify_base:
-                # Equivalence-preserving only: the variable numbering must
-                # survive because every future delta strashes against it.
-                cnf = preprocess(cnf, config=INCREMENTAL_SAFE).cnf
-            self.solver = CdclSolver(cnf, config=solver_config)
+            self.solver = CdclSolver(encoding.cnf, config=solver_config)
             self._sink = _SolverSink(self.solver)
 
             # Structural-hash table over CNF variables: (kind, fanin vars)
             # -> output var.  Seeded from the base; grows with every fresh
-            # gate a copy introduces, so later copies share earlier
-            # copies' deltas too.
+            # gate a copy introduces and is redirected by every sweep
+            # merge, so later copies share earlier copies' deltas too.
             self._strash: Dict[Tuple, int] = {}
             #: Per-base-gate canonical key, for name-stable matching: a
             #: copy gate that keeps its base name and definition maps to
@@ -160,10 +175,9 @@ class IncrementalCecSession:
 
             self.n_vectors = n_vectors
             self._stimulus = random_stimulus(base.inputs, n_vectors, seed=seed)
-            matrix = Simulator(base).run_matrix(self._stimulus)
-            self._base_rows: Dict[str, np.ndarray] = {
-                net: matrix[compiled.id_of(net)].copy() for net in base.outputs
-            }
+            #: Every base net's packed signature (row ``id_of(net)``).
+            self._base_matrix = Simulator(base).run_matrix(self._stimulus)
+            self._base_id: Dict[str, int] = compiled.ids
 
     # Canonical structural key (commutative fanins sorted), promoted to
     # repro.hashing so the artifact store and campaign ids share it.
@@ -200,53 +214,67 @@ class IncrementalCecSession:
             max_decisions = max(0, budget.max_decisions - decisions_spent)
         return Budget(deadline, max_conflicts, max_decisions)
 
-    #: Dirty-cone size (nets) above which an obligation counts as "hard"
-    #: and is raced across portfolio configurations when racing is on.
-    PORTFOLIO_CONE_THRESHOLD = 32
-
-    def verify(
-        self,
-        copy: Circuit,
-        budget: Optional[Budget] = None,
-        portfolio: int = 0,
-    ) -> CecResult:
+    def verify(self, copy: Circuit, budget: Optional[Budget] = None) -> CecResult:
         """Check one copy against the base; returns a :class:`CecResult`.
 
-        Semantics match :func:`repro.sat.cec.check` (three-valued verdict,
-        counterexample as an input-name-to-bit dict, UNDECIDED under an
-        exhausted ``budget``), plus a ``detail`` dict recording how the
-        outputs were discharged.  The budget bounds this call as a whole:
-        conflicts/decisions spent on earlier outputs count against later
-        ones.
-
-        ``portfolio`` ≥ 2 races that many solver configurations (in OS
-        processes, first verdict wins) on each *hard* obligation — one
-        whose dirty cone reaches :data:`PORTFOLIO_CONE_THRESHOLD` nets —
-        seeded with the session's full clause database, learned clauses
-        included.  Racer work is merged into the session's solver stats
-        exactly once; verdicts are unaffected (every configuration is
-        sound and complete).
+        Three-valued verdict, counterexample as an input-name-to-bit dict,
+        UNDECIDED under an exhausted ``budget``, plus a ``detail`` dict
+        recording how the outputs were discharged and how many internal
+        pairs the sweep merged.  The budget bounds this call as a whole:
+        conflicts/decisions spent on sweep pairs and earlier outputs count
+        against later ones.
         """
         with telemetry.span(
             "cec.verify", design=copy.name, outputs=len(copy.outputs)
         ) as verify_span:
-            result = self._verify(copy, budget, portfolio)
+            result = self._verify(copy, budget)
             verify_span.set(
                 verdict=result.verdict.value,
                 outputs_sat=result.detail.get("outputs_sat"),
                 gates_encoded=result.detail.get("gates_encoded"),
                 gates_reused=result.detail.get("gates_reused"),
+                pairs_merged=result.detail.get("pairs_merged"),
             )
             telemetry.count("cec.copies")
             telemetry.count(f"cec.verdict.{result.verdict.value}")
             return result
 
-    def _verify(
+    def _prove_pair(
         self,
-        copy: Circuit,
+        var: int,
+        base: int,
         budget: Optional[Budget],
-        portfolio: int = 0,
-    ) -> CecResult:
+        clock: Optional[BudgetClock],
+        conflicts0: int,
+        decisions0: int,
+    ) -> Optional[bool]:
+        """Try to prove ``var == base``: True proven, False refuted, None unknown.
+
+        Both directions are solved under assumptions; the pair's
+        conflicts come out of :data:`SWEEP_PAIR_CONFLICTS` and out of the
+        call's ``budget``.
+        """
+        solver = self.solver
+        pair0 = solver.stats.conflicts
+        for assumptions in ([var, -base], [-var, base]):
+            stats = solver.stats
+            remaining = self._remaining(
+                budget, clock, stats.conflicts - conflicts0,
+                stats.decisions - decisions0,
+            )
+            cap = SWEEP_PAIR_CONFLICTS - (stats.conflicts - pair0)
+            if remaining is None:
+                remaining = Budget(max_conflicts=cap)
+            elif remaining.max_conflicts is None or remaining.max_conflicts > cap:
+                remaining = dataclasses.replace(remaining, max_conflicts=cap)
+            result = solver.solve(assumptions=assumptions, budget=remaining)
+            if result.unknown:
+                return None
+            if result.satisfiable:
+                return False
+        return True
+
+    def _verify(self, copy: Circuit, budget: Optional[Budget]) -> CecResult:
         if self.base.version != self._base_version:
             raise ValueError("base circuit was mutated after session construction")
         if set(copy.inputs) != set(self.base.inputs):
@@ -260,51 +288,23 @@ class IncrementalCecSession:
         self.stats.copies += 1
         self.stats.outputs_total += len(copy.outputs)
         base_var = self._base_var
-
-        # --- delta encoding: share everything the strash table knows ----- #
-        compiled = compile_circuit(copy)
-        var_of: Dict[str, int] = {name: base_var[name] for name in copy.inputs}
-        encoded = reused = 0
-        for gate in compiled.gates_in_order():
-            ins = [var_of[n] for n in gate.inputs]
-            key = self._key(gate.kind, ins)
-            if self._base_key.get(gate.name) == key:
-                var = base_var[gate.name]  # unchanged gate, name-stable
-            else:
-                var = self._strash.get(key)
-            if var is None:
-                var = solver.new_var()
-                _encode(self._sink, gate.kind, var, ins)
-                self._strash[key] = var
-                encoded += 1
-            else:
-                reused += 1
-            var_of[gate.name] = var
-        self.stats.gates_encoded += encoded
-        self.stats.gates_reused += reused
-
-        affected = [net for net in copy.outputs if var_of[net] != base_var[net]]
+        base_id = self._base_id
+        base_matrix = self._base_matrix
         detail: Dict[str, object] = {
             "engine": "incremental",
             "outputs": len(copy.outputs),
-            "outputs_structural": len(copy.outputs) - len(affected),
+            "outputs_structural": 0,
             "outputs_sat": 0,
-            "gates_encoded": encoded,
-            "gates_reused": reused,
+            "gates_encoded": 0,
+            "gates_reused": 0,
+            "pairs_merged": 0,
         }
-        self.stats.outputs_structural += len(copy.outputs) - len(affected)
-        if not affected:
-            return self._snapshot(
-                CecVerdict.EQUIVALENT,
-                None,
-                "all outputs discharged structurally",
-                detail,
-            )
 
-        # --- simulation pre-filter --------------------------------------- #
+        # --- simulation first: an output mismatch needs no encoding ------ #
+        compiled = compile_circuit(copy)
         copy_matrix = Simulator(copy).run_matrix(self._stimulus)
-        for net in affected:
-            diff = self._base_rows[net] ^ copy_matrix[compiled.id_of(net)]
+        for net in copy.outputs:
+            diff = base_matrix[base_id[net]] ^ copy_matrix[compiled.ids[net]]
             nonzero = np.nonzero(diff)[0]
             if len(nonzero):
                 word = int(nonzero[0])
@@ -317,6 +317,79 @@ class IncrementalCecSession:
                     f"simulation signature mismatch on output {net!r}",
                     detail,
                 )
+
+        # --- delta encoding with SAT sweeping ---------------------------- #
+        var_of: Dict[str, int] = {name: base_var[name] for name in copy.inputs}
+        encoded = reused = merged = refuted = undecided = 0
+        sweeping = True
+        for gate in compiled.gates_in_order():
+            name = gate.name
+            ins = [var_of[n] for n in gate.inputs]
+            key = self._key(gate.kind, ins)
+            if self._base_key.get(name) == key:
+                var = base_var[name]  # unchanged gate, name-stable
+            else:
+                var = self._strash.get(key)
+            if var is not None:
+                reused += 1
+                var_of[name] = var
+                continue
+            var = solver.new_var()
+            _encode(self._sink, gate.kind, var, ins)
+            self._strash[key] = var
+            encoded += 1
+            base = base_var.get(name)
+            if (
+                sweeping
+                and base is not None
+                and np.array_equal(
+                    base_matrix[base_id[name]], copy_matrix[compiled.ids[name]]
+                )
+            ):
+                if clock is not None and clock.exhausted_reason(
+                    solver.stats.conflicts - conflicts0,
+                    solver.stats.decisions - decisions0,
+                ) is not None:
+                    sweeping = False  # a spent budget buys no more pairs
+                else:
+                    proven = self._prove_pair(
+                        var, base, budget, clock, conflicts0, decisions0
+                    )
+                    if proven:
+                        solver.add_clause([-var, base])
+                        solver.add_clause([var, -base])
+                        self._strash[key] = base
+                        var = base
+                        merged += 1
+                    elif proven is None:
+                        undecided += 1
+                    else:
+                        refuted += 1
+            var_of[name] = var
+        self.stats.gates_encoded += encoded
+        self.stats.gates_reused += reused
+        self.stats.pairs_proven += merged
+        self.stats.pairs_refuted += refuted
+        self.stats.pairs_undecided += undecided
+        telemetry.count("cec.sweep.merged", merged)
+        telemetry.count("cec.sweep.refuted", refuted)
+
+        affected = [net for net in copy.outputs if var_of[net] != base_var[net]]
+        detail.update(
+            outputs_structural=len(copy.outputs) - len(affected),
+            gates_encoded=encoded,
+            gates_reused=reused,
+            pairs_merged=merged,
+            obligations=len(affected),
+        )
+        self.stats.outputs_structural += len(copy.outputs) - len(affected)
+        if not affected:
+            return self._snapshot(
+                CecVerdict.EQUIVALENT,
+                None,
+                "all outputs discharged structurally",
+                detail,
+            )
 
         # --- SAT obligations, hardest last ------------------------------- #
         def dirty_cone_size(out_name: str) -> int:
@@ -367,45 +440,26 @@ class IncrementalCecSession:
                 ):
                     clause.append(-activation)
                     solver.add_clause(clause)
-                remaining = self._remaining(budget, clock, spent_c, spent_d)
-                if (
-                    portfolio >= 2
-                    and cone_size[net] >= self.PORTFOLIO_CONE_THRESHOLD
-                ):
-                    outcome = portfolio_mod.race(
-                        solver.n_vars,
-                        solver.export_clauses(),
-                        assumptions=[activation, diff_var],
-                        configs=portfolio_mod.configs_for(portfolio),
-                        budget=remaining,
-                    )
-                    # Fold all racers' counters into the session's stats
-                    # exactly once (rates recompute from raw counters).
-                    solver.stats.merge(outcome.stats)
-                    detail["portfolio_races"] = (
-                        int(detail.get("portfolio_races", 0)) + 1
-                    )
-                    unknown, satisfiable = outcome.unknown, outcome.satisfiable
-                    reason = outcome.reason
-                    model = outcome.model
-                else:
-                    result = solver.solve(
-                        assumptions=[activation, diff_var], budget=remaining
-                    )
-                    unknown, satisfiable = result.unknown, result.satisfiable
-                    reason = result.reason
-                    model = result.model
+                result = solver.solve(
+                    assumptions=[activation, diff_var],
+                    budget=self._remaining(budget, clock, spent_c, spent_d),
+                )
                 self.stats.sat_calls += 1
                 detail["outputs_sat"] = position + 1
-                if unknown:
+                if result.unknown:
                     self.stats.undecided += 1
                     detail["undecided_output"] = net
-                    return self._snapshot(
-                        CecVerdict.UNDECIDED, None, reason, detail
+                    # Name the call's limit, not the remainder the solve got.
+                    reason = clock.exhausted_reason(
+                        solver.stats.conflicts - conflicts0,
+                        solver.stats.decisions - decisions0,
                     )
-                if satisfiable:
+                    return self._snapshot(
+                        CecVerdict.UNDECIDED, None, reason or result.reason, detail
+                    )
+                if result.satisfiable:
                     counterexample = {
-                        name: int(model.get(base_var[name], False))
+                        name: int(result.model.get(base_var[name], False))
                         for name in self.base.inputs
                     }
                     self.stats.sat_disproofs += 1
@@ -430,10 +484,6 @@ class IncrementalCecSession:
         self,
         copies: Sequence[Circuit],
         budget: Optional[Budget] = None,
-        portfolio: int = 0,
     ) -> List[CecResult]:
         """Verify copies in order (each bounded by its own ``budget``)."""
-        return [
-            self.verify(copy, budget=budget, portfolio=portfolio)
-            for copy in copies
-        ]
+        return [self.verify(copy, budget=budget) for copy in copies]

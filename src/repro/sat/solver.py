@@ -35,7 +35,7 @@ import enum
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from ..budget import Budget, UNLIMITED
@@ -167,7 +167,7 @@ class SolverStats:
         Raw counters and phase seconds add; ``max_decision_level`` takes
         the maximum.  Derived rates (``propagations_per_sec``) are *not*
         summed — they recompute from the merged raw counters, which is
-        what keeps portfolio/pool aggregation free of double counting.
+        what keeps pool aggregation free of double counting.
         Returns ``self`` so merges chain.
         """
         for name in self._SUM_FIELDS:
@@ -407,22 +407,6 @@ class CdclSolver:
             return True
         self._add_clause(simplified)
         return True
-
-    def export_clauses(self) -> List[List[int]]:
-        """The live clause database in external (DIMACS) literals.
-
-        Includes root-level implied units and every original *and*
-        learned clause — learned clauses are logical consequences, so the
-        export is equivalent to the solver's accumulated formula.  Used
-        by the portfolio runner to seed racing solvers.
-        """
-        out: List[List[int]] = [
-            [_to_external(lit)] for lit in self._trail
-            if self._level[lit >> 1] == 0
-        ]
-        for clause in self._clauses:
-            out.append([_to_external(lit) for lit in clause])
-        return out
 
     # ------------------------------------------------------------------ #
     # clause / assignment plumbing
@@ -841,7 +825,6 @@ class CdclSolver:
         self,
         assumptions: Sequence[int] = (),
         budget: Optional[Budget] = None,
-        interrupt: Optional[Callable[[], bool]] = None,
     ) -> SatResult:
         """Solve, optionally under external (DIMACS-signed) assumptions.
 
@@ -854,11 +837,6 @@ class CdclSolver:
         limit — it never raises and never runs unbounded.  The solver
         always returns at decision level 0, ready for the next
         :meth:`add_clause` / :meth:`solve`.
-
-        ``interrupt`` is polled at the same cadence as the budget; when it
-        returns true the solver stops with UNKNOWN (reason
-        ``"interrupted"``) — the cooperative cancellation hook used by the
-        portfolio runner to stop racing losers.
         """
         stats = self.stats
         conflicts0 = stats.conflicts
@@ -866,7 +844,7 @@ class CdclSolver:
         start = time.perf_counter()
         with telemetry.span("sat.solve", vars=self.n_vars) as solve_span:
             try:
-                result = self._solve(assumptions, budget, interrupt)
+                result = self._solve(assumptions, budget)
             finally:
                 elapsed = time.perf_counter() - start
                 stats.solve_seconds += elapsed
@@ -887,7 +865,6 @@ class CdclSolver:
         self,
         assumptions: Sequence[int],
         budget: Optional[Budget],
-        interrupt: Optional[Callable[[], bool]] = None,
     ) -> SatResult:
         clock = (budget if budget is not None else UNLIMITED).start()
         limited = not clock.budget.unlimited
@@ -934,11 +911,6 @@ class CdclSolver:
                 stats.conflicts += 1
                 conflicts_since_restart += 1
                 self._cla_inc /= self._cla_decay
-                if interrupt is not None and interrupt():
-                    self._backjump(0)
-                    return SatResult(
-                        SatStatus.UNKNOWN, None, stats, "interrupted"
-                    )
                 if limited:
                     reason = clock.exhausted_reason(
                         stats.conflicts - conflicts_base,
@@ -986,9 +958,6 @@ class CdclSolver:
                 else:
                     self._maybe_reduce_db()
                 continue
-            if interrupt is not None and interrupt():
-                self._backjump(0)
-                return SatResult(SatStatus.UNKNOWN, None, stats, "interrupted")
             if limited:
                 reason = clock.exhausted_reason(
                     stats.conflicts - conflicts_base,

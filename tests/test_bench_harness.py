@@ -33,6 +33,16 @@ class TestTable2:
             assert row.capacity.bits > row.capacity.n_locations
             assert row.equivalent
 
+    def test_equivalence_is_proven_by_the_ladder(self, table2_rows):
+        from repro.bench.reporting import table2_records
+
+        for row in table2_rows:
+            assert row.equivalent and row.proven
+        assert all(record["proven"] for record in table2_records(table2_rows))
+        unverified = run_table2(("C432",), verify=False)[0]
+        assert unverified.equivalent and not unverified.proven
+        assert "yes?" in render_table2([unverified])
+
     def test_overheads_positive_and_bounded(self, table2_rows):
         for row in table2_rows:
             assert 0 <= row.overhead.area < 1.0

@@ -75,6 +75,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "module" in out
 
+    def test_embed_verify_runs_the_ladder(self, tmp_path, capsys):
+        """`embed --verify` (the default) proves the copy through the
+        verification ladder and reports its tier, not a simulation guess."""
+        import json
+
+        from repro.bench import build_benchmark
+
+        design = str(tmp_path / "c432.v")
+        save_verilog(build_benchmark("C432"), design)
+        out_v = str(tmp_path / "copy.v")
+        assert main(["embed", design, "--value", "5", "-o", out_v]) == 0
+        out = capsys.readouterr().out
+        assert "verified equivalent [sat-cec, proven]" in out
+        argv = ["embed", design, "--value", "5", "-o", out_v, "--json"]
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["verified"] is True
+        assert result["tier"] == "sat-cec"
+        assert result["proven"] is True
+        assert "verify_method" not in result
+
     def test_verify_equivalent(self, golden_v, tmp_path, capsys):
         out_v = str(tmp_path / "copy.v")
         main(["embed", golden_v, "--value", "1", "-o", out_v])
@@ -99,9 +120,9 @@ class TestCommands:
             "--max-exhaustive-inputs", "0",
             "--max-conflicts", "1",
             "--random-vectors", "512",
-            # CNF preprocessing would decide this tiny miter outright;
-            # disable it so the 1-conflict budget forces the fallback.
-            "--no-simplify",
+            # SAT sweeping proves this tiny copy without a conflict; a
+            # zero deadline still forces the fallback.
+            "--budget-seconds", "0",
         ]) == 0
         out = capsys.readouterr().out
         assert "random-sim" in out

@@ -1,11 +1,13 @@
 """Differential tests for the incremental CEC session.
 
 The contract under test: :meth:`IncrementalCecSession.verify` must agree
-with the scratch checker (:func:`sat_equivalent`) verdict for verdict on
-every kind of copy — structurally identical, fingerprinted-equivalent,
-and functionally broken (via the :mod:`repro.faultinject` mutators) — and
-its counterexamples must be real (simulating them must expose an output
-difference).
+with an independent reference (:func:`tests.reference_cec.reference_verdict`:
+the unswept scratch miter on a fresh solver, plus exhaustive simulation
+for narrow designs) verdict for verdict on every kind of copy —
+structurally identical, fingerprinted-equivalent, and functionally broken
+(via the :mod:`repro.faultinject` mutators) — and its counterexamples must
+be real (simulating them must expose an output difference).  SAT sweeping
+must merge only proven pairs: a signature match alone never merges.
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ import random
 
 import pytest
 
-from repro.bench import RandomLogicSpec, generate
+from repro import telemetry
+from repro.bench import RandomLogicSpec, build_benchmark, generate
 from repro.budget import Budget
 from repro.faultinject.mutators import functional_mutators
-from repro.fingerprint import FingerprintCodec, embed, find_locations
+from repro.fingerprint import FingerprintCodec, embed, find_locations, full_assignment
 from repro.netlist import Circuit
-from repro.sat import IncrementalCecSession, sat_equivalent, structurally_identical
+from repro.sat import IncrementalCecSession, check, structurally_identical
 from repro.sat.cec import CecVerdict
 from repro.sim.equivalence import PortMismatchError
 from repro.sim.simulator import Simulator
+from tests.reference_cec import reference_verdict
 
 
 def _random_base(seed: int = 21, n_gates: int = 140) -> Circuit:
@@ -56,8 +60,8 @@ class TestDifferentialAgainstScratch:
             value = rng.randrange(codec.combinations)
             copy = embed(base, catalog, codec.encode(value)).circuit
             incremental = session.verify(copy)
-            reference = sat_equivalent(base, copy)
-            assert incremental.verdict is reference.verdict
+            reference = reference_verdict(base, copy)
+            assert incremental.verdict is reference
             assert incremental.verdict is CecVerdict.EQUIVALENT
 
     def test_mutated_copies_agree(self):
@@ -72,8 +76,8 @@ class TestDifferentialAgainstScratch:
             mutator = rng.choice(functional_mutators())
             mutator.apply(mutant, rng)
             incremental = session.verify(mutant)
-            reference = sat_equivalent(base, mutant)
-            assert incremental.verdict is reference.verdict
+            reference = reference_verdict(base, mutant)
+            assert incremental.verdict is reference
             outcomes.add(incremental.verdict)
             if incremental.counterexample is not None:
                 _assert_counterexample_real(base, mutant, incremental.counterexample)
@@ -94,8 +98,8 @@ class TestDifferentialAgainstScratch:
         mutator.apply(mutant, rng)
         session = IncrementalCecSession(base)
         incremental = session.verify(mutant)
-        reference = sat_equivalent(base, mutant)
-        assert incremental.verdict is reference.verdict
+        reference = reference_verdict(base, mutant)
+        assert incremental.verdict is reference
 
 
 class TestSessionMechanics:
@@ -149,6 +153,26 @@ class TestSessionMechanics:
         retry = session.verify(copy)
         assert retry.verdict is CecVerdict.EQUIVALENT
 
+    def test_budget_spent_inside_an_output_obligation(self):
+        """The sweep's share of the budget counts: an output miter that
+        runs out mid-solve is UNDECIDED, named by the call's own limit."""
+        from tests.reference_cec import rename_internal
+
+        base = generate(
+            RandomLogicSpec(name="budget_cec", n_inputs=12, n_outputs=5,
+                            n_gates=150, seed=11)
+        )
+        catalog = find_locations(base)
+        copy = rename_internal(
+            embed(base, catalog, full_assignment(base, catalog)).circuit
+        )
+        session = IncrementalCecSession(base)
+        starved = session.verify(copy, budget=Budget(max_conflicts=200))
+        assert starved.verdict is CecVerdict.UNDECIDED
+        assert starved.detail["outputs_sat"] == 1
+        assert starved.reason == "conflict limit 200 reached"
+        assert session.verify(copy).verdict is CecVerdict.EQUIVALENT
+
     def test_port_mismatch_raises(self):
         base = _random_base(seed=6)
         other = generate(
@@ -182,8 +206,8 @@ class TestSessionMechanics:
         mutant.replace_gate(victim.name, "BUF", list(victim.inputs))
         session = IncrementalCecSession(base)
         result = session.verify(mutant)
-        reference = sat_equivalent(base, mutant)
-        assert result.verdict is reference.verdict
+        reference = reference_verdict(base, mutant)
+        assert result.verdict is reference
         if result.verdict is CecVerdict.NOT_EQUIVALENT:
             assert result.counterexample is not None
             _assert_counterexample_real(base, mutant, result.counterexample)
@@ -219,3 +243,99 @@ class TestStructuralFastPath:
         assert result.equivalent
         assert "structurally identical" in result.reason
         assert result.stats.decisions == 0 and result.stats.propagations == 0
+
+
+def _rare_and_pair():
+    """A base and a copy whose internal net ``w`` differs on 1 of 2**16 vectors.
+
+    ``w`` is a 16-input AND in the base and drops ``a15`` in the copy, so
+    the two differ only when ``a0..a14`` are all 1 and ``a15`` is 0: 512
+    random vectors almost surely never see it, yet the nets are not
+    equivalent and neither are the outputs that read ``w``.
+    """
+
+    def build(name, drop_last):
+        circuit = Circuit(name)
+        circuit.add_inputs([f"a{i}" for i in range(20)])
+        legs = []
+        for quad in range(4):
+            ins = [f"a{4 * quad + k}" for k in range(4)]
+            if drop_last and quad == 3:
+                ins = ins[:3]
+            circuit.add_gate(f"q{quad}", "AND", ins)
+            legs.append(f"q{quad}")
+        circuit.add_gate("w", "AND", legs)
+        circuit.add_gate("o1", "XOR", ["w", "a16"])
+        circuit.add_gate("o2", "OR", ["a17", "a18"])
+        circuit.add_gate("o3", "NAND", ["o2", "a19"])
+        circuit.add_outputs(["o1", "o3"])
+        return circuit
+
+    return build("rare", False), build("rare_copy", True)
+
+
+class TestSatSweeping:
+    def test_signature_match_is_refuted_not_merged(self):
+        base, copy = _rare_and_pair()
+        session = IncrementalCecSession(base)
+        w = session._base_id["w"]
+        sim = Simulator(copy)
+        assert (
+            session._base_matrix[w]
+            == sim.run_matrix(session._stimulus)[sim.compiled.ids["w"]]
+        ).all(), "premise: the 512 vectors must not separate w"
+        result = session.verify(copy)
+        assert result.verdict is CecVerdict.NOT_EQUIVALENT
+        assert result.detail["pairs_merged"] == 0
+        assert session.stats.pairs_refuted >= 1
+        assert session.stats.pairs_proven == 0
+        assert result.detail["outputs_sat"] >= 1  # decided by an output miter
+        _assert_counterexample_real(base, copy, result.counterexample)
+        assert reference_verdict(base, copy) is CecVerdict.NOT_EQUIVALENT
+
+    @pytest.mark.parametrize("name", ["k2", "vda"])
+    def test_maximal_embedding_proven_without_output_miters(self, name):
+        base = build_benchmark(name)
+        catalog = find_locations(base)
+        copy = embed(base, catalog, full_assignment(base, catalog)).circuit
+        result = check(base, copy, budget=Budget(max_conflicts=15000))
+        assert result.verdict is CecVerdict.EQUIVALENT
+        assert result.detail["outputs_sat"] == 0
+        assert result.detail["pairs_merged"] > 0
+
+    def test_sweep_is_observable(self):
+        base = _random_base(seed=12)
+        catalog = find_locations(base)
+        copy = embed(base, catalog, full_assignment(base, catalog)).circuit
+        session = IncrementalCecSession(base)
+        with telemetry.enabled(trace=False, metrics=True):
+            telemetry.drain_metrics()
+            result = session.verify(copy)
+            counters = telemetry.drain_metrics()["counters"]
+        assert result.equivalent
+        merged = result.detail["pairs_merged"]
+        assert merged > 0
+        assert session.stats.pairs_proven == merged
+        assert counters["cec.sweep.merged"] == merged
+        assert counters.get("cec.sweep.refuted", 0) == session.stats.pairs_refuted
+        # A later copy reuses the merges through the strash table: no new
+        # pair is proven and nothing is encoded afresh.
+        again = session.verify(embed(base, catalog, full_assignment(base, catalog)).circuit)
+        assert again.equivalent
+        assert again.detail["pairs_merged"] == 0
+        assert again.detail["gates_encoded"] == 0
+        assert session.stats.pairs_proven == merged
+
+    def test_renamed_copy_needs_output_miters(self):
+        """With no name-matched internal net the sweep has nothing to
+        propose, and the outputs are proven by their miters."""
+        from tests.reference_cec import rename_internal
+
+        base = _random_base(seed=12)
+        catalog = find_locations(base)
+        copy = rename_internal(
+            embed(base, catalog, full_assignment(base, catalog)).circuit
+        )
+        result = IncrementalCecSession(base).verify(copy)
+        assert result.equivalent
+        assert result.detail["outputs_sat"] > 0

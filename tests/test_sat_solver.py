@@ -232,7 +232,7 @@ class TestSolverStatsExtensions:
 
     def test_merge_sums_counters_without_double_counting_rates(self):
         """propagations_per_sec must recompute from merged raw counters,
-        not add worker rates — the portfolio/pool aggregation contract."""
+        not add worker rates — the pool aggregation contract."""
         a = SolverStats(propagations=1000, solve_seconds=1.0,
                         decisions=10, max_decision_level=5)
         b = SolverStats(propagations=3000, solve_seconds=1.0,

@@ -1,18 +1,19 @@
-"""Differential harness: the fast SAT pipeline must match the baseline.
+"""Differential harness: the fast SAT pipeline must match a plain reference.
 
-The raw-speed program (preprocessing, learned-clause minimization, flat
-watch lists, restarts, portfolio racing) is only admissible because it is
-*bit-identical in verdicts* to the pre-existing solver path.  This suite
-enforces that:
+The raw-speed program (SAT sweeping, learned-clause minimization, flat
+watch lists, restarts) is only admissible because it is *identical in
+verdicts* to an independent check.  The reference
+(:mod:`tests.reference_cec`) is the unswept miter solved by a fresh
+solver, plus exhaustive simulation for designs with at most 16 inputs.
+This suite enforces agreement:
 
-* scratch CEC (`repro.sat.cec.check`): default pipeline (preprocessing +
-  tuned solver) vs `simplify=False` + `LEGACY_CONFIG` on bundled designs,
-  embedded fingerprint copies, and faultinject mutants (tier-1);
-* incremental sessions: default construction vs legacy-configured,
-  unsimplified sessions over the same copies (tier-1);
-* every NOT_EQUIVALENT counterexample — which on the fast path crosses
-  the preprocessor's model reconstruction — is replayed through the
-  simulator and must actually distinguish the circuits;
+* scratch CEC (`repro.sat.cec.check`, a one-shot session) on bundled
+  designs, embedded fingerprint copies, and faultinject mutants (tier-1);
+* incremental sessions, default and `LEGACY_CONFIG`-configured, over the
+  same copies (tier-1);
+* every NOT_EQUIVALENT counterexample — from simulation, a sweep-merged
+  encoding or an output miter — is replayed through the simulator and
+  must actually distinguish the circuits;
 * the bundled small benchmark suite plus k2 under the session engine
   (``-m differential``, run in the dedicated CI job).
 """
@@ -31,8 +32,8 @@ from repro.fingerprint import embed, find_locations, full_assignment
 from repro.netlist import read_blif
 from repro.sat import LEGACY_CONFIG, IncrementalCecSession
 from repro.sat.cec import CecVerdict, check
-from repro.sim.simulator import Simulator
 from repro.techmap import map_network
+from tests.reference_cec import distinguishes, reference_verdict
 
 
 def small_circuit(seed, n_gates=80, n_inputs=12, n_outputs=4):
@@ -68,11 +69,9 @@ def mutated_variants(base, n_variants, seed):
 
 
 def assert_counterexample_distinguishes(left, right, counterexample, note):
-    """A reconstructed SAT model must be a *real* witness."""
+    """A counterexample must be a *real* witness."""
     assert counterexample is not None, note
-    sim_l = Simulator(left).run_single(counterexample)
-    sim_r = Simulator(right).run_single(counterexample)
-    assert any(sim_l[out] != sim_r[out] for out in left.outputs), (
+    assert distinguishes(left, right, counterexample), (
         f"counterexample does not distinguish the circuits {note}: "
         f"{counterexample}"
     )
@@ -81,39 +80,35 @@ def assert_counterexample_distinguishes(left, right, counterexample, note):
 def assert_scratch_identical(left, right, note=""):
     """The differential oracle for `cec.check`."""
     fast = check(left, right)
-    baseline = check(left, right, simplify=False, solver_config=LEGACY_CONFIG)
-    assert fast.verdict is baseline.verdict, (
+    reference = reference_verdict(left, right)
+    assert fast.verdict is reference, (
         f"scratch verdict divergence {note}: "
-        f"fast={fast.verdict} ({fast.reason}) "
-        f"baseline={baseline.verdict} ({baseline.reason})"
+        f"fast={fast.verdict} ({fast.reason}) reference={reference}"
     )
     if fast.verdict is CecVerdict.NOT_EQUIVALENT:
         assert_counterexample_distinguishes(
             left, right, fast.counterexample, f"(fast path {note})"
-        )
-        assert_counterexample_distinguishes(
-            left, right, baseline.counterexample, f"(baseline {note})"
         )
 
 
 def assert_session_identical(base, copies, note=""):
     """The differential oracle for `IncrementalCecSession`."""
     fast = IncrementalCecSession(base)
-    baseline = IncrementalCecSession(
-        base, solver_config=LEGACY_CONFIG, simplify_base=False
-    )
+    legacy = IncrementalCecSession(base, solver_config=LEGACY_CONFIG)
     for index, copy in enumerate(copies):
-        rf = fast.verify(copy)
-        rb = baseline.verify(copy)
-        assert rf.verdict is rb.verdict, (
-            f"session verdict divergence {note} copy {index}: "
-            f"fast={rf.verdict} ({rf.reason}) "
-            f"baseline={rb.verdict} ({rb.reason})"
-        )
-        if rf.verdict is CecVerdict.NOT_EQUIVALENT:
-            assert_counterexample_distinguishes(
-                base, copy, rf.counterexample, f"(fast session {note})"
+        reference = reference_verdict(base, copy)
+        for label, session in (("fast", fast), ("legacy", legacy)):
+            result = session.verify(copy)
+            assert result.verdict is reference, (
+                f"session verdict divergence {note} copy {index}: "
+                f"{label}={result.verdict} ({result.reason}) "
+                f"reference={reference}"
             )
+            if result.verdict is CecVerdict.NOT_EQUIVALENT:
+                assert_counterexample_distinguishes(
+                    base, copy, result.counterexample,
+                    f"({label} session {note})",
+                )
 
 
 class TestBundledC17:
@@ -157,11 +152,10 @@ class TestRandomCircuits:
 @pytest.mark.timeout(900)
 class TestBenchmarkSuite:
     """Scratch differential over the bundled small suite; session
-    differential over k2 — the workload the 3x speedup gate measures.
+    differential over k2.
 
-    The per-test cap is raised because the *baseline* leg deliberately
-    runs the slow pre-program pipeline (no preprocessing, legacy
-    solver) on full scratch miters."""
+    The per-test cap is raised because the reference deliberately solves
+    full, unswept scratch miters."""
 
     @pytest.mark.parametrize("name", SMALL_SUITE)
     def test_scratch_copy_and_mutant(self, name):

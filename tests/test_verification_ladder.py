@@ -107,12 +107,11 @@ def test_flow_never_raises_on_verification_timeout(fig1_circuit):
     tier is starved — the second half of the ISSUE's acceptance check."""
     config = LadderConfig(
         max_exhaustive_inputs=1,
-        sat_budget=Budget(max_conflicts=1),
+        # SAT sweeping proves this tiny copy without spending a single
+        # conflict; a zero deadline keeps the budget-degradation
+        # machinery under test engaged.
+        sat_budget=Budget(deadline_s=0, max_conflicts=1),
         n_random_vectors=512,
-        # Preprocessing would decide this tiny miter before the solver
-        # spends its single conflict; pin the raw-miter path so the
-        # budget-degradation machinery under test actually engages.
-        sat_simplify=False,
     )
     result = fingerprint(fig1_circuit, ladder=config)
     assert result.verification is not None
