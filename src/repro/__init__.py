@@ -36,7 +36,7 @@ from .api import (
     verify,
 )
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "BatchResult",

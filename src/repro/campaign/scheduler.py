@@ -9,10 +9,10 @@ and a database path it:
    and inserts any job rows not already present (``INSERT OR IGNORE``),
 3. sweeps ``running`` rows left behind by a killed scheduler back to
    ``pending`` and applies the ``--overwrite`` policy, and
-4. executes everything still pending — serially or across a
-   ``ProcessPoolExecutor`` — with per-job wall-clock timeouts, bounded
-   retries with exponential backoff, and crash quarantine: a job whose
-   worker dies (or which times out) :data:`quarantine_limit` times is
+4. executes everything still pending — serially or across the shared
+   :class:`~repro.pool.WorkerPool` — with per-job wall-clock timeouts,
+   bounded retries with exponential backoff, and the pool's crash
+   policy: a job the policy convicts (timeouts count as crashes) is
    marked ``faulty`` and never retried again, so one poisonous input
    cannot wedge an overnight sweep.
 
@@ -31,14 +31,14 @@ import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 from .. import telemetry
 from ..flows.ladder import LadderConfig
 from ..netlist.circuit import Circuit
+from ..pool import WorkerCrash, WorkerPool, convicted
 from ..telemetry.metrics import safe_rate
 from . import jobs as jobmod
 from .spec import (
@@ -48,6 +48,10 @@ from .spec import (
     resolve_designs,
 )
 from .store import JobRow, JobStore, TERMINAL_STATES
+
+#: How long a graceful stop waits for in-flight workers before handing
+#: their jobs back to ``pending``.
+DRAIN_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,6 @@ class CampaignOptions:
         timeout_s: Per-job wall-clock cap (``None``/``<=0`` disables).
         retry_attempts: Re-executions allowed after a job's first failed
             attempt (DAVOS's ``retry_attempts``); exhausted -> ``failed``.
-        quarantine_limit: Worker crashes / timeouts a job may cause
-            before it is marked ``faulty`` and abandoned.
         backoff_s: Base of the exponential retry backoff
             (``backoff_s * 2**(attempt-1)`` seconds before re-dispatch).
         overwrite: Which terminal rows to re-open before running
@@ -70,20 +72,16 @@ class CampaignOptions:
         ladder: Verification-ladder tuning passed to job executors.
         measure_overheads: Record per-copy area/delay/power overheads
             (``fingerprint`` kind).
-        drain_s: How long a graceful stop waits for in-flight workers
-            before handing their jobs back to ``pending``.
     """
 
     jobs: int = 1
     timeout_s: Optional[float] = 300.0
     retry_attempts: int = 2
-    quarantine_limit: int = 2
     backoff_s: float = 0.5
     overwrite: str = "none"
     max_jobs: Optional[int] = None
     ladder: Optional[LadderConfig] = None
     measure_overheads: bool = False
-    drain_s: float = 30.0
 
 
 @dataclass
@@ -222,10 +220,6 @@ class _Run:
         self.ready: Deque[JobRow] = deque()
         #: retry queue: (monotonic eligible-at, row)
         self.delayed: List[Tuple[float, JobRow]] = []
-        #: job ids that were in flight when a worker pool died.  While any
-        #: remain, the pooled loop runs one job at a time so the next
-        #: crash identifies its culprit definitively (see _charge_crash).
-        self.suspects: set = set()
 
     # -------------------------------------------------------------- #
 
@@ -275,7 +269,7 @@ class _Run:
                 row.job_id, "timeout",
                 f"attempt {attempts}: {result['error']}",
             )
-            if crashes >= self.options.quarantine_limit:
+            if convicted(crashes):
                 self.quarantine(row, result["error"], result["error_type"])
             else:
                 self.requeue(row, attempts, f"timeout #{crashes}")
@@ -297,9 +291,29 @@ class _Run:
             )
             telemetry.count("campaign.jobs_failed")
 
+    def charge_crash(self, row: JobRow, pool: WorkerPool,
+                     crash: WorkerCrash) -> None:
+        """Charge a job its worker's death and apply the pool's policy."""
+        self.summary.crashes += 1
+        telemetry.count("campaign.crashes")
+        crashes = self.store.record_crash(row.job_id)
+        self.store.record_event(
+            row.job_id, "crash",
+            f"worker died (#{crashes})" + (" [isolated]" if crash.alone else ""),
+        )
+        if pool.charge(crash, crashes):
+            self.quarantine(row, "worker process died while executing this job",
+                            "WorkerCrash")
+            return
+        self.store.mark_pending([row.job_id])
+        self.delayed.append(
+            (time.monotonic() + _backoff_delay(self.options, crashes), row)
+        )
+        self.summary.retried += 1
+        telemetry.count("campaign.retries")
+
     def quarantine(self, row: JobRow, error: Optional[str],
                    error_type: Optional[str]) -> None:
-        self.suspects.discard(row.job_id)
         self.store.record_result(
             row.job_id, "faulty",
             error=error or "quarantined after repeated crashes",
@@ -344,74 +358,38 @@ def _run_serial(run: _Run, designs: Mapping[str, Circuit],
         run.store.mark_pending(leftover)
 
 
-def _adopt_worker_telemetry(result: Dict[str, Any]) -> None:
-    spans = result.get("spans")
-    if spans:
-        telemetry.get_tracer().adopt(spans)
-    metrics = result.get("metrics")
-    if metrics:
-        telemetry.get_registry().merge(metrics)
-
-
 def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
                 spec: CampaignSpec) -> None:
-    """Pool execution: windowed submission, crash handling, graceful drain."""
+    """Pool execution: windowed submission, crash policy, graceful drain."""
     options = run.options
     # Fresh clones drop per-version caches before pickling into workers.
     payload_designs = {
         name: circuit.clone(name) for name, circuit in designs.items()
     }
-    flags = (telemetry.tracing_enabled(), telemetry.metrics_enabled())
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=options.jobs,
-            initializer=jobmod.init_worker,
-            initargs=(
-                payload_designs, spec.kind, spec.seed,
-                options.ladder, options.measure_overheads, flags,
-            ),
-        )
-
-    pool = make_pool()
+    pool = WorkerPool(
+        options.jobs,
+        setup=jobmod.set_context,
+        setup_args=(payload_designs, spec.kind, spec.seed,
+                    options.ladder, options.measure_overheads),
+    )
     inflight: Dict[Future, Tuple[JobRow, int]] = {}
     draining_since: Optional[float] = None
-
-    def replace_broken_pool(alone: bool) -> ProcessPoolExecutor:
-        # The pool is dead: every in-flight future raises the same
-        # error.  Each in-flight job is charged one crash (see
-        # _charge_crash for when that convicts it).
-        for in_row, _attempts in inflight.values():
-            _charge_crash(run, in_row, alone=alone)
-        inflight.clear()
-        pool.shutdown(wait=False, cancel_futures=True)
-        return make_pool()
-
     try:
         while True:
             run.promote_delayed()
             # Submission window: keep ~2 queued tasks per worker so idle
             # workers always have something without hoarding the queue.
-            # While crash suspects exist the window collapses to one job
-            # at a time, so the next pool death names its culprit.
-            window = 1 if run.suspects else options.jobs * 2
+            window = 1 if pool.isolating else options.jobs * 2
             while (run.ready and run.budget_left()
                    and len(inflight) < window):
                 row = run.ready.popleft()
                 run.store.mark_running([row.job_id])
                 attempts = run.store.record_attempt(row.job_id)
-                try:
-                    future = pool.submit(
-                        jobmod.execute_payload_pooled,
-                        _payload(row, attempts - 1, options),
-                    )
-                except BrokenProcessPool:
-                    # The pool died before accepting this job — it never
-                    # ran, so hand it straight back (no crash charge).
-                    run.store.mark_pending([row.job_id])
-                    run.ready.appendleft(row)
-                    pool = replace_broken_pool(alone=len(inflight) == 1)
-                    continue
+                future = pool.submit(
+                    row.job_id, jobmod.execute_payload,
+                    _payload(row, attempts - 1, options),
+                    keys=(row.job_id,), attempt=attempts - 1,
+                )
                 inflight[future] = (row, attempts)
                 run.summary.executed += 1
                 telemetry.count("campaign.jobs_executed")
@@ -429,7 +407,7 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
             if run.stop.requested and draining_since is None:
                 draining_since = time.monotonic()
             if (draining_since is not None
-                    and time.monotonic() - draining_since > options.drain_s):
+                    and time.monotonic() - draining_since > DRAIN_S):
                 # Drain window exhausted: abandon in-flight work; their
                 # rows return to pending (attempt already counted).
                 run.store.mark_pending(
@@ -440,63 +418,21 @@ def _run_pooled(run: _Run, designs: Mapping[str, Circuit],
             done, _ = wait(
                 set(inflight), timeout=0.1, return_when=FIRST_COMPLETED
             )
-            broken = False
-            alone = len(inflight) == 1
             for future in done:
                 row, attempts = inflight.pop(future)
                 try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    _charge_crash(run, row, alone=alone)
+                    result = pool.collect(future)
+                except WorkerCrash as crash:
+                    run.charge_crash(row, pool, crash)
                     continue
-                _adopt_worker_telemetry(result)
-                run.suspects.discard(row.job_id)  # completed -> exonerated
                 run.dispose(row, attempts, result)
-            if broken:
-                pool = replace_broken_pool(alone=alone)
         leftover = [row.job_id for row in run.ready] + [
             row.job_id for _, row in run.delayed
         ]
         if leftover:
             run.store.mark_pending(leftover)
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _charge_crash(run: _Run, row: JobRow, alone: bool = False) -> None:
-    """One worker-death charge against an in-flight job.
-
-    A crashed job becomes a *suspect*: it is requeued and the loop drops
-    to one-job-at-a-time until each suspect either completes
-    (exonerated) or crashes again.  ``alone`` means this job was the
-    *only* one in flight when the pool died; a suspect that dies alone
-    is the culprit definitively and is quarantined at once, whatever its
-    crash count.  A first crash never convicts on sight, even alone, so
-    it is retried the same way whether the death surfaced at
-    ``submit`` or at ``result()``; ``quarantine_limit`` crashes
-    quarantine any job.  An innocent job repeatedly co-resident with a
-    crasher is never quarantined.
-    """
-    suspect = row.job_id in run.suspects
-    run.summary.crashes += 1
-    telemetry.count("campaign.crashes")
-    crashes = run.store.record_crash(row.job_id)
-    run.store.record_event(
-        row.job_id, "crash",
-        f"worker died (#{crashes})" + (" [isolated]" if alone else ""),
-    )
-    if (alone and suspect) or crashes >= run.options.quarantine_limit:
-        run.quarantine(row, "worker process died while executing this job",
-                       "WorkerCrash")
-    else:
-        run.suspects.add(row.job_id)
-        run.store.mark_pending([row.job_id])
-        run.delayed.append(
-            (time.monotonic() + _backoff_delay(run.options, crashes), row)
-        )
-        run.summary.retried += 1
-        telemetry.count("campaign.retries")
+        pool.shutdown(wait=False)
 
 
 def run_campaign(

@@ -6,11 +6,11 @@ generate-and-verify loop, not any single embedding.  This module runs that
 loop as a batch: N distinct fingerprint values (via the
 :class:`~repro.fingerprint.capacity.FingerprintCodec` bijection), each
 embedded and verified through the budgeted ladder backed by an
-:class:`~repro.sat.incremental.IncrementalCecSession`, optionally across a
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+:class:`~repro.sat.incremental.IncrementalCecSession`, optionally across
+the shared :class:`~repro.pool.WorkerPool`.
 
 Parallel layout: each worker process builds its own catalog, codec and
-incremental session once (in the pool initializer), then values are
+incremental session once (in the pool's setup function), then values are
 dispatched in small chunks so idle workers steal remaining work instead of
 being bound to a fixed slice.  Verdicts, budget degradation (UNDECIDED →
 random-sim confidence) and overhead accounting are identical to the
@@ -19,14 +19,12 @@ single-process path — ``jobs`` only changes wall-clock time.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..analysis.compare import overhead
@@ -36,6 +34,7 @@ from ..fingerprint.capacity import FingerprintCodec
 from ..fingerprint.embed import embed
 from ..fingerprint.locations import FinderOptions, find_locations
 from ..netlist.circuit import Circuit
+from ..pool import WorkerCrash, WorkerPool
 from ..store import warm_session
 from ..telemetry.metrics import safe_rate
 from .ladder import LadderConfig, run_ladder
@@ -72,8 +71,8 @@ class BatchResult:
     jobs: int
     wall_seconds: float
     records: List[CopyRecord] = field(default_factory=list)
-    #: True when the worker pool died mid-run and the remaining copies
-    #: were finished in-process (degraded to serial, but nothing lost).
+    #: True when the worker pool died mid-run and was rebuilt at least
+    #: once (the chunks it took down were retried; nothing lost).
     pool_broken: bool = False
 
     @property
@@ -155,7 +154,7 @@ def select_values(combinations: int, n_copies: int, seed: int = 0) -> List[int]:
     return sorted(chosen)
 
 
-# Per-process state, built once by the pool initializer so circuits,
+# Per-process state, built once by the pool's setup function so circuits,
 # catalogs and the incremental session are not re-pickled per task.
 _WORKER: Dict[str, object] = {}
 
@@ -200,22 +199,8 @@ def _init_worker(
     options: Optional[FinderOptions],
     ladder: Optional[LadderConfig],
     measure_overheads: bool,
-    telemetry_flags: Tuple[bool, bool] = (False, False),
 ) -> None:
-    # Workers inherit the parent's telemetry switches so their span
-    # trees and metric snapshots ride back with the chunk results.
-    # Under the fork start method they also inherit the parent's live
-    # tracer stack (the open batch.run span) and registry — clear both,
-    # or worker spans nest under an unreachable ghost and never drain.
-    trace_on, metrics_on = telemetry_flags
-    telemetry.disable()
-    telemetry.get_tracer().reset()
-    telemetry.get_registry().reset()
-    if trace_on or metrics_on:
-        telemetry.enable(trace=trace_on, metrics=metrics_on)
-    from ..store import ensure_default_store
-
-    ensure_default_store()
+    """Pool setup: build this worker's state once (after the pool bootstrap)."""
     _WORKER.clear()
     _WORKER.update(build_worker_state(base, options, ladder, measure_overheads))
 
@@ -253,27 +238,9 @@ def verify_one_value(state: Dict[str, object], value: int) -> CopyRecord:
     )
 
 
-def _verify_chunk(
-    values: Sequence[int],
-) -> Tuple[List[CopyRecord], List[Dict[str, Any]], Dict[str, Any]]:
-    """Worker task: records plus the telemetry gathered while producing them.
-
-    Span trees and the metrics snapshot are plain dicts, so they cross
-    the ``ProcessPoolExecutor`` boundary with the results; the parent
-    grafts them into its own tracer/registry (tagged by worker pid).
-    """
-    # Test-only fault hook: crash this worker (as a real native crash
-    # would) when told to, so the pool-salvage path stays testable.
-    crash_value = os.environ.get("REPRO_BATCH_CRASH_VALUE")
-    if crash_value is not None and int(crash_value) in values:
-        os._exit(3)
-    records = [verify_one_value(_WORKER, value) for value in values]
-    spans = telemetry.drain_spans() if telemetry.tracing_enabled() else []
-    pid = os.getpid()
-    for payload in spans:
-        payload.setdefault("attrs", {})["worker"] = pid
-    metrics = telemetry.drain_metrics() if telemetry.metrics_enabled() else {}
-    return records, spans, metrics
+def _verify_chunk(values: Sequence[int]) -> List[CopyRecord]:
+    """Worker task: embed and verify one chunk of values."""
+    return [verify_one_value(_WORKER, value) for value in values]
 
 
 def _chunked(values: Sequence[int], jobs: int) -> List[List[int]]:
@@ -283,6 +250,56 @@ def _chunked(values: Sequence[int], jobs: int) -> List[List[int]]:
         list(values[i : i + chunk_size])
         for i in range(0, len(values), chunk_size)
     ]
+
+
+def _verify_pooled(
+    design: Circuit, values: Sequence[int], opts: FlowOptions
+) -> Tuple[List[CopyRecord], bool]:
+    """Verify ``values`` across ``opts.jobs`` workers.
+
+    Every chunk is submitted up front.  A chunk the pool dies under is
+    retried in the rebuilt pool under the shared crash policy
+    (:mod:`repro.pool`); a convicted chunk raises :class:`BatchError`.
+    Returns the records and whether the pool was rebuilt.
+    """
+    chunks = _chunked(values, opts.jobs)
+    crashes: Dict[int, int] = {}
+    records: List[CopyRecord] = []
+    # A fresh clone drops the (potentially large) per-version caches
+    # before pickling the circuit into each worker.
+    setup_args = (
+        design.clone(design.name),
+        opts.resolved_finder(),
+        opts.ladder,
+        opts.measure_overheads,
+    )
+    with WorkerPool(opts.jobs, setup=_init_worker, setup_args=setup_args) as pool:
+        queued = deque(range(len(chunks)))
+        inflight: Dict[Future, int] = {}
+        while queued or inflight:
+            window = 1 if pool.isolating else len(chunks)
+            while queued and len(inflight) < window:
+                index = queued.popleft()
+                future = pool.submit(
+                    index, _verify_chunk, chunks[index],
+                    keys=chunks[index], attempt=crashes.get(index, 0),
+                )
+                inflight[future] = index
+            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+            for future in done:
+                index = inflight.pop(future)
+                try:
+                    records.extend(pool.collect(future))
+                except WorkerCrash as crash:
+                    crashes[index] = crashes.get(index, 0) + 1
+                    if pool.charge(crash, crashes[index]):
+                        raise BatchError(
+                            "a worker process died verifying copies "
+                            f"{chunks[index]}; not retried again",
+                            stage="batch", design=design.name,
+                        ) from None
+                    queued.append(index)
+        return records, pool.generation > 0
 
 
 def run_batch_flow(
@@ -325,55 +342,9 @@ def run_batch_flow(
             )
             records = [verify_one_value(state, value) for value in values]
         else:
-            # A fresh clone drops the (potentially large) per-version
-            # caches before pickling the circuit into each worker.
-            payload = design.clone(design.name)
-            flags = (telemetry.tracing_enabled(), telemetry.metrics_enabled())
-            records = []
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=opts.jobs,
-                    initializer=_init_worker,
-                    initargs=(
-                        payload,
-                        opts.resolved_finder(),
-                        opts.ladder,
-                        opts.measure_overheads,
-                        flags,
-                    ),
-                ) as pool:
-                    for chunk_records, spans, metrics in pool.map(
-                        _verify_chunk, _chunked(values, opts.jobs)
-                    ):
-                        records.extend(chunk_records)
-                        if spans:
-                            telemetry.get_tracer().adopt(spans)
-                        if metrics:
-                            telemetry.get_registry().merge(metrics)
-            except BrokenProcessPool:
-                # A worker died (OOM-kill, native crash, os._exit).  The
-                # chunk results already consumed above are valid verdicts
-                # — keep them, and finish the not-yet-reported values
-                # in-process instead of throwing the whole batch away.
-                pool_broken = True
-                done = {record.value for record in records}
-                remaining = [value for value in values if value not in done]
-                warnings.warn(
-                    f"batch worker pool died after {len(done)}/{len(values)} "
-                    f"copies; finishing the remaining {len(remaining)} "
-                    "in-process (degraded to serial)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                telemetry.count("batch.pool_broken")
+            records, pool_broken = _verify_pooled(design, values, opts)
+            if pool_broken:
                 batch_span.set(pool_broken=True)
-                state = build_worker_state(
-                    design, opts.resolved_finder(), opts.ladder,
-                    opts.measure_overheads,
-                )
-                records.extend(
-                    verify_one_value(state, value) for value in remaining
-                )
         wall = time.perf_counter() - start
         records.sort(key=lambda record: record.value)
         result = BatchResult(

@@ -11,13 +11,12 @@
 
 See :mod:`repro.service.server` for the endpoint reference,
 :mod:`repro.service.protocol` for the typed ``/v1`` request/response
-contract, :mod:`repro.service.executor` for the multi-process execution
-backend, :mod:`repro.service.queue` for tenancy/quotas/fair scheduling,
+contract, :mod:`repro.pool` for the worker pool jobs run on,
+:mod:`repro.service.queue` for tenancy/quotas/fair scheduling,
 and :mod:`repro.service.jobs` for the command set.
 """
 
 from .client import ServiceClient, ServiceHttpError
-from .executor import JobExecutor, WorkerInfo
 from .jobs import SERVICE_COMMANDS, run_service_job
 from .protocol import (
     API_PREFIX,
@@ -44,7 +43,6 @@ __all__ = [
     "API_PREFIX",
     "ERROR_CODES",
     "ErrorBody",
-    "JobExecutor",
     "JobListing",
     "JobQueue",
     "JobStatus",
@@ -61,7 +59,6 @@ __all__ = [
     "SubmitRequest",
     "TenantQuota",
     "UnknownJobError",
-    "WorkerInfo",
     "run_service_job",
     "serve",
 ]

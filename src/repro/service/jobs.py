@@ -1,12 +1,13 @@
 """Service job execution — one submission to one result envelope.
 
 :func:`run_service_job` is the synchronous heart of the service: it runs
-on the server's single execution worker thread, resolves the submitted
-design text, dispatches to the same engines the CLI uses, and wraps the
-result in the unified JSON envelope (:mod:`repro.envelope`) with the
-job's telemetry snapshot and — when an artifact store is active — the
-store counter *delta* attributable to this job, so a client can read
-directly from its response whether its submission was served warm.
+in a worker process of the server's :class:`~repro.pool.WorkerPool`,
+resolves the submitted design text, dispatches to the same engines the
+CLI uses, and wraps the result in the unified JSON envelope
+(:mod:`repro.envelope`) with the job's telemetry snapshot and — when an
+artifact store is active — the store counter *delta* attributable to
+this job, so a client can read directly from its response whether its
+submission was served warm.
 
 Design references in a submission payload are text plus a format::
 
@@ -178,12 +179,12 @@ def run_service_job(
 ) -> Dict[str, Any]:
     """Execute one job and build its full response envelope.
 
-    Runs on the execution worker thread.  The worker serializes jobs, so
-    resetting the registry here and draining tracer + registry at the
-    end scopes the telemetry snapshot (and the store counter delta) to
-    exactly this job — a warm resubmission's envelope shows *zero*
-    ``ir.compile`` / encode / catalog work of its own, not a cumulative
-    blur over earlier jobs.
+    Runs in a worker process of the service's pool.  A worker runs one
+    job at a time, so resetting the registry here and draining tracer +
+    registry at the end scopes the telemetry snapshot (and the store
+    counter delta) to exactly this job — a warm resubmission's envelope
+    shows *zero* ``ir.compile`` / encode / catalog work of its own, not a
+    cumulative blur over earlier jobs.
     """
     telemetry.get_registry().reset()
     store = active_store()
@@ -217,11 +218,30 @@ class ServiceJobFailed(Exception):
         self.envelope = envelope
 
 
+def job_envelope(
+    command: str,
+    payload: Dict[str, Any],
+    tenant_budget: Optional[Budget] = None,
+    include_spans: bool = False,
+) -> Dict[str, Any]:
+    """Worker-pool task: one job's envelope, a failed job's included.
+
+    Job-level failures are *returned* (``envelope["ok"] is False``), not
+    raised: an exception crossing the process boundary loses its
+    structured payload in pickling.
+    """
+    try:
+        return run_service_job(command, payload, tenant_budget, include_spans)
+    except ServiceJobFailed as exc:
+        return exc.envelope
+
+
 __all__ = [
     "SERVICE_COMMANDS",
     "ServiceJobFailed",
     "UnknownCommandError",
     "execute_command",
+    "job_envelope",
     "resolve_design",
     "run_service_job",
 ]

@@ -8,17 +8,15 @@ One :class:`Server` owns four moving parts:
   (:mod:`repro.service.protocol`); unversioned paths answer 404
   ``not_found``;
 * the multi-tenant, tenant-fair :class:`~repro.service.queue.JobQueue`;
-* the multi-process execution backend
-  (:class:`~repro.service.executor.JobExecutor`): a dispatcher task
-  feeds up to N worker *processes*, so CPU-bound jobs from different
-  tenants overlap on multi-core hosts.  Every worker activates its own
-  artifact store over a shared disk-tier root (cross-worker warmth);
-  finished jobs ship their span trees, metric snapshots and store
-  deltas back in the result envelope, so SSE streaming, ``/stats`` and
-  per-job ``cache`` sections behave exactly as the single-thread
-  backend did.  A worker crash breaks the pool: the server rebuilds it,
-  requeues each in-flight job once, and fails a twice-crashed job with
-  a structured ``worker_crashed`` error.
+* the shared :class:`~repro.pool.WorkerPool`: a dispatcher task feeds up
+  to N worker *processes*, so CPU-bound jobs from different tenants
+  overlap on multi-core hosts.  Every worker activates its own artifact
+  store over a shared disk-tier root (cross-worker warmth); finished
+  jobs ship their span trees, metric snapshots and store deltas back in
+  the result envelope, which feeds SSE streaming, ``/stats`` and the
+  per-job ``cache`` section.  A worker crash breaks the pool: the pool
+  rebuilds it and its crash policy decides, per in-flight job, between
+  a requeue and a structured ``worker_crashed`` failure.
 
 Endpoints (all JSON; responses use the CLI envelope where a command ran):
 
@@ -46,6 +44,7 @@ import shutil
 import tempfile
 import threading
 import time
+from concurrent.futures import Future
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -53,8 +52,8 @@ from .. import telemetry
 from ..envelope import active_cache_section, build_envelope
 from ..errors import ReproError
 from ..store.core import ArtifactStore, activate_store, active_store
-from .executor import BrokenProcessPool, JobExecutor
-from .jobs import SERVICE_COMMANDS
+from ..pool import WorkerCrash, WorkerPool
+from .jobs import SERVICE_COMMANDS, job_envelope
 from .protocol import (
     API_PREFIX,
     ErrorBody,
@@ -137,7 +136,7 @@ class Server:
         self.started_at: Optional[float] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._backend: Optional[JobExecutor] = None
+        self._pool: Optional[WorkerPool] = None
         self._dispatch_task: Optional[asyncio.Task] = None
         self._active: set = set()
         self._slots: Optional[asyncio.Semaphore] = None
@@ -168,14 +167,13 @@ class Server:
             # are warm for all of them.  Removed on shutdown.
             self._store_tmp = tempfile.mkdtemp(prefix="repro-service-store-")
             worker_root = self._store_tmp
-        self._backend = JobExecutor(
-            workers=self.workers,
+        self._pool = WorkerPool(
+            self.workers,
             store_root=worker_root,
             memory_entries=(
                 self.store.memory_entries if self.store is not None else 128
             ),
-            include_spans=bool(self.trace_path),
-        ).start()
+        )
         self._slots = asyncio.Semaphore(self.workers)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -216,8 +214,8 @@ class Server:
         # no verdict computed by a worker is thrown away at shutdown.
         if self._active:
             await asyncio.wait(set(self._active), timeout=self.drain_grace_s)
-        if self._backend is not None:
-            self._backend.shutdown(wait=True)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
         if self.trace_path and self._span_payloads:
             from ..telemetry import span_from_dict, write_chrome_trace
 
@@ -274,6 +272,10 @@ class Server:
         while True:
             job = await self.queue.next_job()
             await self._slots.acquire()
+            # While a crash suspect remains, jobs run one at a time so
+            # the next pool death names its culprit.
+            while self._pool.isolating and self._active:
+                await asyncio.sleep(0.05)
             task = asyncio.ensure_future(self._run_one(job))
             self._active.add(task)
             task.add_done_callback(self._job_task_done)
@@ -284,24 +286,21 @@ class Server:
             self._slots.release()
 
     async def _run_one(self, job: ServiceJob) -> None:
-        assert self.queue is not None and self._backend is not None
+        assert self.queue is not None and self._pool is not None
         self.queue.mark_running(job)
         budget = self.queue.quota_for(job.tenant).budget
-        generation = self._backend.generation
         try:
-            generation, future = self._backend.submit(
-                job.command, job.payload, budget
+            future = self._pool.submit(
+                job.job_id, job_envelope, job.command, job.payload, budget,
+                bool(self.trace_path),
+                keys=(job.payload.get("design"),), attempt=job.attempts,
             )
-            pid, envelope = await asyncio.wrap_future(future)
-        except BrokenProcessPool:
-            # A worker died and took the pool with it.  Rebuild (first
-            # observer wins), then salvage: requeue this job once; a
-            # job that was in flight across two crashes is the likely
-            # culprit and fails with a structured error.
-            self._backend.rebuild(generation)
-            if job.attempts < 1:
-                self.queue.requeue(job)
-            else:
+            await _finished(future)
+            envelope = self._pool.collect(future)
+        except WorkerCrash as crash:
+            # The job's ledger is its requeue count: this crash is
+            # charge number attempts + 1.
+            if self._pool.charge(crash, job.attempts + 1):
                 self.queue.mark_failed(
                     job,
                     "worker process crashed twice while executing this "
@@ -309,6 +308,8 @@ class Server:
                     code="worker_crashed",
                 )
                 self._after_terminal()
+            else:
+                self.queue.requeue(job)
             return
         except Exception as exc:  # noqa: BLE001 - job must not kill dispatch
             self.queue.mark_failed(
@@ -316,7 +317,6 @@ class Server:
             )
             self._after_terminal()
             return
-        self._backend.note_result(pid)
         self._replay_spans(job, envelope)
         self._collect_spans(envelope)
         if envelope.get("ok"):
@@ -558,7 +558,7 @@ class Server:
 
     def _executor_stats(self) -> Dict[str, Any]:
         stats = (
-            self._backend.stats() if self._backend is not None
+            self._pool.stats() if self._pool is not None
             else {"backend": "none"}
         )
         stats["in_flight"] = len(self._active)
@@ -686,6 +686,14 @@ class Server:
                     break
         finally:
             self.queue.unsubscribe(job, subscriber)
+
+
+async def _finished(future: Future) -> None:
+    """Wait for a pool future; its outcome is read by ``WorkerPool.collect``."""
+    loop = asyncio.get_running_loop()
+    done = asyncio.Event()
+    future.add_done_callback(lambda _: loop.call_soon_threadsafe(done.set))
+    await done.wait()
 
 
 def serve(

@@ -135,7 +135,7 @@ class TestResumeDeterminism:
         victim = job_ids(spec)[0]
         # the worker executing the victim dies with os._exit on its first
         # attempt, then behaves — crash recovery must converge anyway
-        monkeypatch.setenv("REPRO_CAMPAIGN_CRASH_JOBS", f"{victim}:1")
+        monkeypatch.setenv("REPRO_POOL_CRASH", f"{victim}:1")
         db = str(tmp_path / "crashed.db")
         summary = run_campaign(spec, db, CampaignOptions(jobs=2, **FAST))
         assert summary.crashes >= 1
@@ -176,7 +176,7 @@ class TestCrashQuarantine:
             self, tmp_path, monkeypatch):
         spec = fp_spec()
         victim = job_ids(spec)[0]
-        monkeypatch.setenv("REPRO_CAMPAIGN_CRASH_JOBS", victim)  # every time
+        monkeypatch.setenv("REPRO_POOL_CRASH", victim)  # every time
         db = str(tmp_path / "c.db")
         summary = run_campaign(spec, db, CampaignOptions(jobs=2, **FAST))
         assert summary.quarantined == 1
@@ -190,7 +190,7 @@ class TestCrashQuarantine:
     def test_crash_ledger_recorded(self, tmp_path, monkeypatch):
         spec = fp_spec(n_copies=2)
         victim = job_ids(spec)[0]
-        monkeypatch.setenv("REPRO_CAMPAIGN_CRASH_JOBS", victim)
+        monkeypatch.setenv("REPRO_POOL_CRASH", victim)
         db = str(tmp_path / "c.db")
         run_campaign(spec, db, CampaignOptions(jobs=2, **FAST))
         status = campaign_status(db)
@@ -216,7 +216,7 @@ class TestCrashQuarantine:
                     raise BrokenProcessPool("pool died before accepting")
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr("repro.campaign.scheduler.ProcessPoolExecutor",
+        monkeypatch.setattr("repro.pool.ProcessPoolExecutor",
                             SecondSubmitBreaks)
         db = str(tmp_path / "broken.db")
         summary = run_campaign(spec, db, CampaignOptions(jobs=2, **FAST))

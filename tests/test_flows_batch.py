@@ -195,8 +195,8 @@ class TestBatchTelemetry:
 
 
 class TestPoolBrokenSalvage:
-    """A dying worker pool must not lose completed copies (satellite of the
-    campaign engine: the batch flow degrades to serial instead)."""
+    """A dying worker pool must not lose completed copies: the chunks it
+    took down are retried in the rebuilt pool (``repro.pool`` policy)."""
 
     @pytest.fixture()
     def c17(self):
@@ -211,9 +211,8 @@ class TestPoolBrokenSalvage:
 
         codec = FingerprintCodec(find_locations(c17))
         values = select_values(codec.combinations, 4, seed=0)
-        monkeypatch.setenv("REPRO_BATCH_CRASH_VALUE", str(values[-1]))
-        with pytest.warns(RuntimeWarning, match="pool died"):
-            broken = run_batch_flow(c17, 4, FlowOptions(jobs=2, seed=0))
+        monkeypatch.setenv("REPRO_POOL_CRASH", f"{values[-1]}:1")
+        broken = run_batch_flow(c17, 4, FlowOptions(jobs=2, seed=0))
         assert broken.pool_broken is True
         assert sorted(r.value for r in broken.records) == sorted(values)
         assert broken.n_equivalent == 4
@@ -224,12 +223,21 @@ class TestPoolBrokenSalvage:
 
         clean = run_batch_flow(c17, 4, FlowOptions(jobs=1, seed=0))
         assert clean.pool_broken is False
-        monkeypatch.setenv(
-            "REPRO_BATCH_CRASH_VALUE", str(clean.records[0].value)
-        )
-        with pytest.warns(RuntimeWarning):
-            broken = run_batch_flow(c17, 4, FlowOptions(jobs=2, seed=0))
+        monkeypatch.setenv("REPRO_POOL_CRASH", f"{clean.records[0].value}:1")
+        broken = run_batch_flow(c17, 4, FlowOptions(jobs=2, seed=0))
         key = lambda result: sorted(
             (r.value, r.equivalent, r.proven, r.tier) for r in result.records
         )
         assert key(broken) == key(clean)
+
+    def test_always_crashing_chunk_is_a_typed_error(self, c17, monkeypatch):
+        """A copy that kills its worker on every attempt is convicted by the
+        pool's crash policy and reported, never re-run in the caller."""
+        from repro.flows import FlowOptions, run_batch_flow
+        from repro.flows.batch import BatchError
+
+        clean = run_batch_flow(c17, 4, FlowOptions(jobs=1, seed=0))
+        victim = clean.records[0].value
+        monkeypatch.setenv("REPRO_POOL_CRASH", str(victim))
+        with pytest.raises(BatchError, match=str(victim)):
+            run_batch_flow(c17, 4, FlowOptions(jobs=2, seed=0))

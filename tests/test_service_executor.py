@@ -1,21 +1,23 @@
-"""Tests for the multi-process execution backend (``service/executor.py``).
+"""Tests for the service's multi-process execution on the shared pool.
 
-Covers the ISSUE 9 tentpole robustness paths: concurrent multi-worker
-execution with per-worker liveness, the worker-crash → requeue →
-structured-failure salvage chain (driven by the
-``REPRO_SERVICE_CRASH_TOKEN`` fault hook), round-robin tenant fairness
-in the queue, and generation-guarded pool rebuilds.
+Covers concurrent multi-worker execution with per-worker liveness, the
+worker-crash → requeue → structured-failure chain under the pool's
+crash policy (driven by the ``REPRO_POOL_CRASH`` fault hook, keyed by
+the submitted design string), and round-robin tenant fairness in the
+queue.  The policy itself is tested once, in ``test_pool.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro import telemetry
 from repro.service import (
-    JobExecutor,
     Server,
     ServiceClient,
     ServiceHttpError,
@@ -43,6 +45,14 @@ def blif(name: str) -> str:
 """
 
 
+def _stop(srv):
+    srv.stop_thread()
+    deactivate_store()
+    telemetry.disable()
+    telemetry.get_tracer().reset()
+    telemetry.get_registry().reset()
+
+
 @pytest.fixture()
 def server(monkeypatch):
     """A fresh two-worker server with the crash fault hook armed.
@@ -51,15 +61,11 @@ def server(monkeypatch):
     tests): crash tests mutate pool state, and each test deserves a
     pristine generation counter.
     """
-    monkeypatch.setenv("REPRO_SERVICE_CRASH_TOKEN", CRASH_TOKEN)
+    monkeypatch.setenv("REPRO_POOL_CRASH", CRASH_TOKEN)
     srv = Server(port=0, workers=2)
     srv.start_in_thread()
     yield srv
-    srv.stop_thread()
-    deactivate_store()
-    telemetry.disable()
-    telemetry.get_tracer().reset()
-    telemetry.get_registry().reset()
+    _stop(srv)
 
 
 @pytest.fixture()
@@ -136,6 +142,55 @@ class TestCrashSalvage:
         assert result["jobs"]["done"] == 1
 
 
+    def test_innocent_job_in_flight_beside_a_crash_finishes(self, client):
+        """Both jobs in flight when the pool dies are charged and retried
+        one at a time: the innocent one completes, the crasher dies alone
+        and is convicted."""
+        slow = client.submit("batch", design="C432", format="bench",
+                             n_copies=48)
+        deadline = time.monotonic() + 60
+        while client.job(slow["job_id"])["status"] != "running":
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        crash = client.submit("locate", design=CRASH_TOKEN, format="blif")
+        assert client.wait(slow["job_id"], timeout=120)["ok"] is True
+        with pytest.raises(ServiceHttpError):
+            client.wait(crash["job_id"], timeout=120)
+        innocent = client.job(slow["job_id"])
+        assert innocent["status"] == "done"
+        assert innocent["attempts"] == 1  # charged once, then cleared
+        culprit = client.job(crash["job_id"])
+        assert culprit["status"] == "failed"
+        assert culprit["error_code"] == "worker_crashed"
+
+    def test_job_refused_at_submit_is_not_charged(self, monkeypatch):
+        """A pool that is already dead at ``submit`` never ran the job:
+        the pool is rebuilt and the job runs uncharged."""
+
+        class NextSubmitBreaks(ProcessPoolExecutor):
+            armed = True
+
+            def submit(self, fn, *args, **kwargs):
+                if NextSubmitBreaks.armed:
+                    NextSubmitBreaks.armed = False
+                    raise BrokenProcessPool("pool died before accepting")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr("repro.pool.ProcessPoolExecutor", NextSubmitBreaks)
+        srv = Server(port=0, workers=2).start_in_thread()
+        try:
+            client = ServiceClient(port=srv.port)
+            submitted = client.submit("locate", design=blif("refused"),
+                                      format="blif")
+            assert client.wait(submitted["job_id"], timeout=120)["ok"] is True
+            status = client.job(submitted["job_id"])
+            assert status["status"] == "done"
+            assert status["attempts"] == 0
+            assert client.stats()["result"]["executor"]["generation"] == 1
+        finally:
+            _stop(srv)
+
+
 class TestTenantFairness:
     def test_round_robin_across_tenant_buckets(self):
         """A bulk tenant's backlog cannot starve a light tenant: the
@@ -185,26 +240,3 @@ class TestTenantFairness:
         assert again is first is job
         assert again.attempts == 1
         assert again.status == "queued"
-
-
-class TestExecutorUnit:
-    def test_rebuild_is_generation_guarded(self):
-        executor = JobExecutor(workers=1).start()
-        try:
-            assert executor.rebuild(0) is True
-            # A second casualty of the same break reports the same
-            # generation: no double rebuild.
-            assert executor.rebuild(0) is False
-            assert executor.generation == 1
-            assert executor.crashes == 1
-        finally:
-            executor.shutdown()
-
-    def test_submit_requires_start(self):
-        executor = JobExecutor(workers=1)
-        with pytest.raises(RuntimeError):
-            executor.submit("prepare", {"design": "x"})
-
-    def test_worker_count_validated(self):
-        with pytest.raises(ValueError):
-            JobExecutor(workers=0)
